@@ -127,19 +127,30 @@ class TracePoly:
 def _canonical_trace_key(w: sg.Word) -> sg.Word:
     """Minimal representative under cyclic rotation and inversion (both are
     trace-preserving), used as the memo key.  Candidates with fewer inverse
-    letters win so canonicalization never increases the rewriting measure."""
-    if not w:
+    letters win so canonicalization never increases the rewriting measure;
+    among those, rotations compare letter by letter on (abs, sign), an order
+    the code 2|x| + (x < 0) preserves.  A least rotation starts at a least
+    letter, so only those rotations are compared."""
+    n = len(w)
+    if not n:
         return w
+    neg = sum(1 for x in w if x < 0)
     cands = []
-    for v in (w, sg.invert(w)):
-        for k in range(len(v)):
-            cands.append(v[k:] + v[:k])
-
-    def key(v):
-        neg = sum(1 for x in v if x < 0)
-        return (neg, tuple((abs(x), 0 if x > 0 else 1) for x in v))
-
-    return min(cands, key=key)
+    if 2 * neg <= n:
+        cands.append(w)
+    if 2 * neg >= n:
+        cands.append(sg.invert(w))
+    best = best_code = None
+    for v in cands:
+        code = [2 * x if x > 0 else 1 - 2 * x for x in v]
+        lo = min(code)
+        twice = code + code
+        for k in range(n):
+            if code[k] == lo:
+                rot = twice[k : k + n]
+                if best_code is None or rot < best_code:
+                    best_code, best = rot, v[k:] + v[:k]
+    return best
 
 
 def _measure(w: sg.Word) -> tuple[int, int, int]:
@@ -315,16 +326,35 @@ class RminVerdict:
     DISTINCT = "distinct"
 
 
+def rmin_key(p: TracePoly) -> tuple:
+    """The one R_min key: P and -P share it, and nothing else does.
+
+    Z[t_S] is an integral domain, so P1^2 = P2^2 exactly when P1 = +-P2; the
+    key is the sorted term tuple of P, negated when its first coefficient is
+    negative."""
+    terms = sorted(p.terms.items())
+    if terms and terms[0][1] < 0:
+        return tuple((mono, -c) for mono, c in terms)
+    return tuple(terms)
+
+
+def rmin_blocks(classes, m: int) -> dict[tuple, list]:
+    """Classes grouped by R_min key, blocks in first-seen order."""
+    blocks: dict[tuple, list] = {}
+    for key in classes:
+        blocks.setdefault(rmin_key(trace_poly(key.word, m)), []).append(key)
+    return blocks
+
+
 def rmin_test(w1, w2, m: int, seed: int = 0, n_reps: int = 16) -> RminVerdict:
     """Decide the minimal-pattern relation between two words.
 
-    Polynomial identity P1^2 = P2^2 is a proof of equality; otherwise the
-    squared traces are compared at seeded exact representations and any
-    disagreement is decisive.
+    P1 = +-P2 is a proof of equality; otherwise |tr| is compared at seeded
+    exact representations and any disagreement is decisive.
     """
     p1 = trace_poly(w1, m)
     p2 = trace_poly(w2, m)
-    if (p1 * p1 - p2 * p2).is_zero():
+    if rmin_key(p1) == rmin_key(p2):
         return RminVerdict(RminVerdict.EQUAL)
     rng = random.Random(seed)
     for _ in range(n_reps):
@@ -332,39 +362,28 @@ def rmin_test(w1, w2, m: int, seed: int = 0, n_reps: int = 16) -> RminVerdict:
         chars = character_values(rep, m)
         v1 = p1.evaluate(chars)
         v2 = p2.evaluate(chars)
-        if v1 * v1 != v2 * v2:
+        if abs(v1) != abs(v2):
             return RminVerdict(RminVerdict.DISTINCT, witness_rep=rep, traces=(v1, v2))
     return RminVerdict(RminVerdict.PROBABLY_EQUAL)
 
 
-def squared_poly_key(w, m: int) -> str:
-    p = trace_poly(w, m)
-    return (p * p).text()
-
-
 def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     """Partition classes by provable R_min equality; flag numeric-only
-    coincidences (equal at every sampled rep, distinct as polynomials)."""
-    blocks: dict[str, list] = {}
-    polys: dict[str, TracePoly] = {}
-    for key in classes:
-        p = trace_poly(key.word, m)
-        sq = (p * p).text()
-        blocks.setdefault(sq, []).append(key)
-        polys.setdefault(sq, p * p)
-    partition = [tuple(v) for _, v in sorted(blocks.items())]
-    # numeric fingerprints across blocks
+    coincidences (equal |tr| at every sampled rep, distinct as polynomials)."""
+    blocks = rmin_blocks(classes, m)
+    partition = [tuple(v) for v in blocks.values()]
+    # numeric fingerprints across blocks; a key is +-P, so |P| is read off it
     rng = random.Random(seed)
     reps = [random_exact_rep(m, rng) for _ in range(n_reps)]
     char_sets = [character_values(r, m) for r in reps]
-    fingerprints: dict[tuple, list[str]] = {}
-    for sq, poly in polys.items():
-        fp = tuple(poly.evaluate(cv) for cv in char_sets)
-        fingerprints.setdefault(fp, []).append(sq)
+    fingerprints: dict[tuple, list[tuple]] = {}
+    for k in blocks:
+        poly = TracePoly(dict(k))
+        fp = tuple(abs(poly.evaluate(cv)) for cv in char_sets)
+        fingerprints.setdefault(fp, []).append(k)
     flagged = []
-    for fp, group in fingerprints.items():
-        if len(group) > 1:
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    flagged.append((blocks[group[i]][0], blocks[group[j]][0]))
+    for group in fingerprints.values():
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                flagged.append((blocks[group[i]][0], blocks[group[j]][0]))
     return partition, flagged

@@ -19,6 +19,7 @@ from . import boundary, characters, fricke, surface_group as sg
 # NB: `speclab.spectrum` the attribute is the spectrum() function (it shadows
 # the submodule), so pull what we need from the submodule directly.
 from .spectrum import (
+    SpectrumError,
     pattern as length_pattern,
     rows_to_csv,
     scan_generic,
@@ -153,14 +154,11 @@ def cmd_rmin(args) -> int:
     pres = sg.Presentation(genus=1, punctures=args.rank - 1)
     words = [sg.parse_word(t, pres) for t in args.words]
     lines = []
-    any_distinct = False
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
             verdict = characters.rmin_test(
                 words[i], words[j], args.rank, seed=args.seed, n_reps=args.samples
             )
-            if verdict.kind == characters.RminVerdict.DISTINCT:
-                any_distinct = True
             lines.append(
                 json.dumps(
                     {"pair": [args.words[i], args.words[j]], "verdict": verdict.kind},
@@ -271,10 +269,15 @@ def main(argv=None) -> int:
         if getattr(args, "needs_seed", False) and args.seed is None:
             raise SystemExit2("--seed is mandatory for randomized commands")
         return args.fn(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (fricke.FrickeError, sg.WordError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (
+        SystemExit2,
+        fricke.FrickeError,
+        sg.WordError,
+        SpectrumError,
+        FileNotFoundError,
+        json.JSONDecodeError,
+        ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import characters, surface_group as sg
-from .fricke import SurfaceRep, schottky_sample
+from .fricke import SamplingFailed, SurfaceRep, schottky_sample
 from .mobius import IsometryClass, classify, translation_length
 
 
@@ -140,13 +140,9 @@ def partition_equal(p1: Pattern, p2: Pattern) -> bool:
 
 
 def rmin_pattern(classes, m: int) -> Pattern:
-    """Partition by provable character-polynomial equality of squared traces."""
-    groups: dict[str, list] = {}
-    for key in classes:
-        p = characters.trace_poly(key.word, m)
-        groups.setdefault((p * p).text(), []).append(key)
-    items = sorted(groups.items())
-    return Pattern(tuple(tuple(v) for _, v in items), 0.0, tuple(range(len(items))))
+    """Partition by provable character-polynomial equality up to sign."""
+    blocks = characters.rmin_blocks(classes, m).values()
+    return Pattern(tuple(tuple(v) for v in blocks), 0.0, tuple(range(len(blocks))))
 
 
 def scan_generic(
@@ -195,7 +191,7 @@ def scan_generic(
                 rep = schottky_sample(trial_seed + retry * 7919, m)
                 yield one_trial(i, rep, trial_seed)
                 break
-            except SpectrumError:
+            except (SpectrumError, SamplingFailed):
                 continue
 
 

@@ -1,17 +1,22 @@
 import random
 
+import pytest
+
 from speclab.characters import (
     RminVerdict,
     TracePoly,
+    _canonical_trace_key,
     basis_word,
     character_values,
     eval_trace_poly,
     random_exact_rep,
+    rmin_key,
     rmin_pairs,
     rmin_test,
     subset_name,
     trace_poly,
 )
+from speclab.spectrum import rmin_pattern
 import speclab.surface_group as sg
 
 F2 = sg.Presentation(genus=1, punctures=1)
@@ -155,3 +160,87 @@ def test_poly_text_canonical():
     q = trace_poly((2, 1, -2, -1), 2)  # inverse commutator, same trace
     assert p.text() == q.text()
     assert p.text() == trace_poly((1, 2, -1, -2), 2).text()
+
+
+# -- R_min keyed by +-P, against a squared-text oracle -------------------------
+
+def _rotations(w):
+    return [w[k:] + w[:k] for k in range(len(w))]
+
+
+def _squared_text_blocks(classes, m):
+    """Oracle: group classes by the text of P^2."""
+    blocks = {}
+    for k in classes:
+        p = trace_poly(k.word, m)
+        blocks.setdefault((p * p).text(), []).append(k)
+    return blocks
+
+
+def _squared_flagged(blocks, m, seed, n_reps):
+    """Oracle: block pairs whose P^2 agree at every seeded exact rep."""
+    rng = random.Random(seed)
+    char_sets = [character_values(random_exact_rep(m, rng), m) for _ in range(n_reps)]
+    groups = {}
+    for members in blocks.values():
+        p = trace_poly(members[0].word, m)
+        fp = tuple((p * p).evaluate(cv) for cv in char_sets)
+        groups.setdefault(fp, []).append(members[0])
+    return {
+        frozenset((g[i], g[j]))
+        for g in groups.values()
+        for i in range(len(g))
+        for j in range(i + 1, len(g))
+    }
+
+
+@pytest.mark.parametrize("m,maxlen", [(2, 7), (3, 5)])
+def test_rmin_partition_matches_squared_text_oracle(m, maxlen):
+    classes = sg.enumerate_classes(sg.Presentation(1, m - 1), maxlen)
+    oracle = _squared_text_blocks(classes, m)
+    expected = {frozenset(b) for b in oracle.values()}
+    # two reps leave hundreds of numeric coincidences to flag
+    partition, flagged = rmin_pairs(classes, m, seed=3, n_reps=2)
+    assert {frozenset(b) for b in partition} == expected
+    assert {frozenset(b) for b in rmin_pattern(classes, m).blocks} == expected
+    assert flagged
+    assert {frozenset(f) for f in flagged} == _squared_flagged(oracle, m, 3, 2)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_canonical_trace_key_rotation_and_inversion_invariant(m):
+    def old_key(w):
+        # reference: every rotation of w and w^-1, least by
+        # (inverse-letter count, (abs, sign) per letter)
+        cands = _rotations(w) + _rotations(sg.invert(w))
+        return min(cands, key=lambda v: (sum(x < 0 for x in v), [(abs(x), x < 0) for x in v]))
+
+    for k in sg.enumerate_classes(sg.Presentation(1, m - 1), 6):
+        key = _canonical_trace_key(k.word)
+        assert key == old_key(k.word)
+        for v in _rotations(k.word) + _rotations(sg.invert(k.word)):
+            assert _canonical_trace_key(v) == key
+
+
+def test_rmin_key_is_sign_blind():
+    p = trace_poly((1, 2, -1, -2), 2)
+    assert rmin_key(-p) == rmin_key(p)
+    assert rmin_key(p) != rmin_key(trace_poly((1, 2), 2))
+    assert rmin_key(TracePoly()) == ()
+
+
+def test_rmin_test_inverse_classes_equal():
+    for k in sg.enumerate_classes(F2, 5):
+        assert rmin_test(k.word, sg.invert(k.word), 2, n_reps=1).kind == RminVerdict.EQUAL
+
+
+@pytest.mark.parametrize("m,maxlen", [(2, 7), (3, 5)])
+def test_no_sign_opposite_trace_polynomials(m, maxlen):
+    # No pair with P1 = -P2 exists up to the tested length, nor can one: at
+    # the trivial representation every t_S is 2 and every word has trace 2,
+    # so P_w(2, ..., 2) = 2 for all w.  The +- in the key is thus never
+    # exercised by words, only by the algebra (see test_rmin_key_is_sign_blind).
+    polys = {trace_poly(k.word, m) for k in sg.enumerate_classes(sg.Presentation(1, m - 1), maxlen)}
+    twos = {mask: 2 for mask in range(1, 1 << m)}
+    assert all(p.evaluate(twos) == 2 for p in polys)
+    assert not any(-p in polys for p in polys)

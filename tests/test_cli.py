@@ -103,6 +103,23 @@ def test_missing_file_is_input_error():
     assert main(["spectrum", "--rep-file", "/nonexistent/rep.json"]) == 1
 
 
+def test_elliptic_rep_file_is_input_error(tmp_path, capsys):
+    # a: rotation by pi/2 (trace 0) is elliptic, so the spectrum cannot be taken
+    rep_path = tmp_path / "elliptic.json"
+    rep_path.write_text(
+        json.dumps(
+            {
+                "genus": 1,
+                "punctures": 1,
+                "matrices": [["0", "-1", "1", "0"], ["2", "0", "0", "0.5"], ["1", "0", "0", "1"]],
+            }
+        )
+    )
+    assert main(["spectrum", "--rep-file", str(rep_path), "--maxlen", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "elliptic" in err
+
+
 def test_rep_file_and_seed_conflict(tmp_path):
     rep_path = tmp_path / "rep.json"
     main(["sample", "--seed", "3", "--output", str(rep_path)])

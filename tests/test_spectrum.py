@@ -1,8 +1,9 @@
 import math
+import sys
 
 import pytest
 
-from speclab.fricke import punctured_torus_sample, schottky_sample
+from speclab.fricke import SamplingFailed, punctured_torus_sample, schottky_sample
 from speclab.spectrum import (
     ClassSetMismatch,
     LengthSpectrum,
@@ -119,6 +120,22 @@ def test_scan_generic_records():
         assert r["violations"] == []
     seeds = [r["seed"] for r in recs[1:]]
     assert len(set(seeds)) == len(seeds)
+
+
+def test_scan_generic_retries_failed_sample(monkeypatch):
+    calls = []
+
+    def flaky(seed, m):
+        calls.append(seed)
+        if len(calls) == 1:
+            raise SamplingFailed("injected")
+        return schottky_sample(seed, m)
+
+    monkeypatch.setattr(sys.modules["speclab.spectrum"], "schottky_sample", flaky)
+    recs = list(scan_generic(99, 3, maxlen=3))
+    assert [r["trial"] for r in recs] == [0, 1, 2]
+    assert calls[1] == calls[0] + 7919  # the failed draw is retried, not the trial dropped
+    assert recs[0]["rep_digest"] == schottky_sample(calls[1], 2).digest()
 
 
 def test_partition_equal():
