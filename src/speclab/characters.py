@@ -76,12 +76,6 @@ class TracePoly:
                 out[key] = out.get(key, 0) + c1 * c2
         return TracePoly(out)
 
-    def scale(self, c: int) -> "TracePoly":
-        return TracePoly({m: c * v for m, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 
@@ -128,36 +122,21 @@ def _canonical_trace_key(w: sg.Word) -> sg.Word:
     """Minimal representative under cyclic rotation and inversion (both are
     trace-preserving), used as the memo key.  Candidates with fewer inverse
     letters win so canonicalization never increases the rewriting measure;
-    among those, rotations compare letter by letter on (abs, sign), an order
-    the code 2|x| + (x < 0) preserves.  A least rotation starts at a least
-    letter, so only those rotations are compared."""
+    among those, the least rotation in letter order wins."""
     n = len(w)
-    if not n:
-        return w
     neg = sum(1 for x in w if x < 0)
-    cands = []
-    if 2 * neg <= n:
-        cands.append(w)
-    if 2 * neg >= n:
-        cands.append(sg.invert(w))
-    best = best_code = None
-    for v in cands:
-        code = [2 * x if x > 0 else 1 - 2 * x for x in v]
-        lo = min(code)
-        twice = code + code
-        for k in range(n):
-            if code[k] == lo:
-                rot = twice[k : k + n]
-                if best_code is None or rot < best_code:
-                    best_code, best = rot, v[k:] + v[:k]
-    return best
+    if 2 * neg < n:
+        return sg.least_rotation(w)
+    if 2 * neg > n:
+        return sg.least_rotation(sg.invert(w))
+    return min(sg.least_rotation(w), sg.least_rotation(sg.invert(w)), key=sg.letter_code)
 
 
 def _measure(w: sg.Word) -> tuple[int, int, int]:
     neg = sum(1 for x in w if x < 0)
     inv = 0
     if w and neg == 0:
-        lin = _rotate_to_min(w)
+        lin = sg.least_rotation(w)
         inv = sum(
             1
             for i in range(len(lin))
@@ -165,11 +144,6 @@ def _measure(w: sg.Word) -> tuple[int, int, int]:
             if lin[i] > lin[j]
         )
     return (len(w), neg, inv)
-
-
-def _rotate_to_min(w: sg.Word) -> sg.Word:
-    k = min(range(len(w)), key=lambda i: w[i:] + w[:i])
-    return w[k:] + w[:k]
 
 
 class _Rewriter:
@@ -238,7 +212,7 @@ class _Rewriter:
             positions[i] = k
 
         # 4. distinct positive letters: sort toward the ascending basis word
-        lin = _rotate_to_min(w)
+        lin = sg.least_rotation(w)
         descent = None
         for j in range(len(lin) - 1):
             if lin[j] > lin[j + 1]:

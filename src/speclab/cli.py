@@ -2,16 +2,14 @@
 
 Word syntax: lowercase letters are generators, uppercase their inverses;
 `a b A B` and `abAB` are the same word.  Every randomized command takes a
-mandatory --seed and is byte-reproducible.  Enumerated class lists are
-cached under $SPECLAB_CACHE_DIR when set.
+mandatory --seed and is byte-reproducible.  A --config JSON file supplies
+defaults; a flag given on the command line wins over it.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -43,10 +41,6 @@ def _out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _config_digest(payload: dict) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
 def _load_rep(args) -> fricke.SurfaceRep:
     sources = [args.rep_file is not None, args.seed is not None]
     if sum(sources) != 1:
@@ -60,24 +54,6 @@ class SystemExit2(Exception):
     pass
 
 
-def _cached_classes(pres: sg.Presentation, maxlen: int):
-    cache_dir = os.environ.get("SPECLAB_CACHE_DIR")
-    if not cache_dir:
-        return sg.enumerate_classes(pres, maxlen)
-    key = _config_digest({"g": pres.genus, "n": pres.punctures, "maxlen": maxlen})
-    path = Path(cache_dir) / f"classes-{key}.txt"
-    if path.exists():
-        words = []
-        for line in path.read_text().splitlines():
-            if line.strip():
-                words.append(sg.parse_word(line, pres))
-        return [sg.canonical_class(w, pres) for w in words]
-    classes = sg.enumerate_classes(pres, maxlen)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(sg.format_word(k.word, pres) for k in classes) + "\n")
-    return classes
-
-
 # -- subcommands -------------------------------------------------------------
 
 def cmd_sample(args) -> int:
@@ -88,8 +64,7 @@ def cmd_sample(args) -> int:
 
 def cmd_spectrum(args) -> int:
     rep = _load_rep(args)
-    classes = _cached_classes(rep.presentation, args.maxlen)
-    s = length_spectrum(rep, args.maxlen, args.tolerance, classes=classes)
+    s = length_spectrum(rep, args.maxlen, args.tolerance)
     if args.format == "csv":
         _out(args, rows_to_csv(s.as_rows()))
     else:
@@ -111,8 +86,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_pattern(args) -> int:
     rep = _load_rep(args)
-    classes = _cached_classes(rep.presentation, args.maxlen)
-    s = length_spectrum(rep, args.maxlen, args.tolerance, classes=classes)
+    s = length_spectrum(rep, args.maxlen, args.tolerance)
     p = length_pattern(s)
     doc = {
         "rep_digest": s.rep_digest,
@@ -206,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=1e-9)
         p.add_argument("--seed", type=int, required=False, default=None)
         p.add_argument("--output", type=str, default=None)
-        p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("sample", help="emit a certified discrete rep")
     common(p)
@@ -216,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="class / trace / length table")
     common(p)
     p.add_argument("--rep-file", type=str, default=None)
+    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.set_defaults(fn=cmd_spectrum, needs_seed=False)
 
     p = sub.add_parser("pattern", help="equal-length blocks")
@@ -254,18 +229,39 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args) -> None:
-    if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
-        for k, v in doc.items():
-            setattr(args, k.replace("-", "_"), v)
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The --config file as defaults for the command's parser, each value
+    checked against the type of its option."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise SystemExit2("config must be a JSON object")
+    actions = {a.dest: a for a in parser._actions if a.option_strings}
+    out = {}
+    for key, value in doc.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise SystemExit2(f"config key {key!r} is not an option of this command")
+        want = bool if action.nargs == 0 else action.type or str
+        if want is float:
+            want = (int, float)
+        if isinstance(value, bool) is not (want is bool) or not isinstance(value, want):
+            raise SystemExit2(f"config key {key!r}: {value!r} has the wrong type")
+        if action.choices is not None and value not in action.choices:
+            raise SystemExit2(f"config key {key!r}: {value!r} is not one of {action.choices}")
+        out[action.dest] = value
+    return out
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config is not None:
+            # config values become the command's defaults, then the command
+            # line is parsed again so that an explicit flag wins
+            command = args.parser
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = ap.parse_args(argv)
         if getattr(args, "needs_seed", False) and args.seed is None:
             raise SystemExit2("--seed is mandatory for randomized commands")
         return args.fn(args)

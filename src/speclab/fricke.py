@@ -155,18 +155,6 @@ class SurfaceRep:
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    def as_dict(self):
-        return {
-            "genus": self.presentation.genus,
-            "punctures": self.presentation.punctures,
-            "matrices": [[_num(x) for x in m.entries()] for m in self.matrices],
-            "validity": self.validity.as_dict() if self.validity else None,
-        }
-
-
-def _num(x):
-    return float(x)
-
 
 def _validate(pres: sg.Presentation, mats, certificate=None) -> ValidityReport:
     rel = sg.relator(pres)
@@ -306,10 +294,6 @@ def _mobius_to_0_inf_1(x_to_0, x_to_inf, x_to_1) -> Mat2:
     # scale for conditioning only; conjugation divides by det, so det = +-1 is fine
     r = math.sqrt(abs(det))
     return Mat2(m.a / r, m.b / r, m.c / r, m.d / r)
-
-
-def _sign_fix(m: Mat2, want_positive) -> Mat2:
-    return -m if want_positive(m) < 0 else m
 
 
 def fricke_from_rep(rep: SurfaceRep) -> FrickeVector:
@@ -501,7 +485,14 @@ def rep_to_json(rep: SurfaceRep) -> str:
 def rep_from_json(text: str) -> SurfaceRep:
     doc = json.loads(text)
     pres = sg.Presentation(genus=doc["genus"], punctures=doc["punctures"])
-    mats = tuple(Mat2(*(float(v) for v in row)) for row in doc["matrices"])
+    rows = doc["matrices"]
+    if not isinstance(rows, list) or len(rows) != pres.num_generators:
+        raise FrickeError(
+            f"expected a list of {pres.num_generators} matrices for (g,n)=({pres.genus},{pres.punctures})"
+        )
+    if not all(isinstance(row, list) and len(row) == 4 for row in rows):
+        raise FrickeError("every matrix needs a list of 4 entries a, b, c, d")
+    mats = tuple(Mat2(*(float(v) for v in row)) for row in rows)
     cert = None
     if isinstance(doc.get("validity"), dict):
         stored = doc["validity"].get("discreteness_certificate")

@@ -113,15 +113,6 @@ def identity() -> Mat2:
     return Mat2(1, 0, 0, 1)
 
 
-def check_unimodular(m: Mat2, eps: float = EPS) -> None:
-    d = m.det()
-    if m.exact():
-        if d != 1:
-            raise MobiusError(f"det = {d}, expected 1")
-    elif abs(float(d) - 1.0) > eps:
-        raise MobiusError(f"det = {d}, expected 1 within {eps}")
-
-
 def classify(m: Mat2, eps: float = EPS) -> IsometryClass:
     """Classify by |tr| relative to 2; identity means m = +-I."""
     t = m.tr()
@@ -215,7 +206,6 @@ class BoundaryPoint:
 
 
 # Cayley transform as a det-1 complex matrix: (z - i)/(z + i) scaled by 1/(1+i).
-_CAYLEY = (1.0 / (1.0 + 1.0j),) * 0  # placeholder to keep constants together
 _C_A = 1.0 / (1.0 + 1.0j)
 _C_B = -1.0j / (1.0 + 1.0j)
 _C_C = 1.0 / (1.0 + 1.0j)

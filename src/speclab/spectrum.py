@@ -166,7 +166,7 @@ def scan_generic(
     pmin = rmin_pattern(classes, m)
 
     def one_trial(index, rep, trial_seed):
-        s = spectrum(rep, maxlen, tol)
+        s = spectrum(rep, maxlen, tol, classes=classes)
         pg = pattern(s, None if s.exact else tol)
         sub = subrelation(pmin, pg)
         return {

@@ -79,16 +79,26 @@ def cyclic_reduce(w: Word) -> Word:
     return w
 
 
-def _letter_order(x: int) -> int:
-    # a1 < a1^-1 < b1 < b1^-1 < a2 < ...
-    return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
+def letter_code(w) -> list[int]:
+    """Integer letter codes 2|x| + (x < 0): comparing code lists compares
+    words in letter order a1 < A1 < b1 < B1 < a2 < ..."""
+    return [2 * x if x > 0 else 1 - 2 * x for x in w]
+
+
+def _order_key(w: Word):
+    return (len(w), letter_code(w))
 
 
 def least_rotation(w: Word) -> Word:
-    if not w:
+    """Least rotation of w in letter order.  A least rotation starts at a
+    least letter, so only those rotations are compared."""
+    n = len(w)
+    if n < 2:
         return w
-    key = tuple(_letter_order(x) for x in w)
-    best = min(range(len(w)), key=lambda i: key[i:] + key[:i])
+    code = letter_code(w)
+    lo = min(code)
+    twice = code + code
+    best = min((k for k in range(n) if code[k] == lo), key=lambda k: twice[k : k + n])
     return w[best:] + w[:best]
 
 
@@ -162,27 +172,40 @@ def canonical_class(w, p: Presentation, merge_inverse: bool = False) -> ConjClas
     key = least_rotation(w)
     if merge_inverse:
         ikey = least_rotation(cyclic_reduce(invert(w)))
-        key = min(key, ikey, key=lambda v: (len(v), tuple(_letter_order(x) for x in v)))
+        key = min(key, ikey, key=_order_key)
     return ConjClassKey(key, inverse_paired=merge_inverse)
 
 
-def reduced_words(rank: int, length: int):
-    """All freely reduced words of the given exact length."""
-    if length == 0:
-        yield ()
-        return
-    letters = [x for k in range(1, rank + 1) for x in (k, -k)]
-    def rec(prefix):
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for x in letters:
-            if prefix and prefix[-1] == -x:
-                continue
-            prefix.append(x)
-            yield from rec(prefix)
-            prefix.pop()
-    yield from rec([])
+def _necklaces(rank: int, maxlen: int) -> list[Word]:
+    """Cyclically reduced words up to rotation, each as its least rotation,
+    sorted by (length, letter order).
+
+    These are the necklaces over the 2m letters with no letter next to its
+    inverse, wrap-around included.  The FKM prenecklace recursion (Cattell,
+    Ruskey, Sawada, Serra & Miers, J. Algorithms 37, 2000) runs over letter
+    indices in letter order, is cut wherever a letter follows its inverse,
+    and keeps a prenecklace of length n whose longest Lyndon prefix p
+    divides n and whose last letter is not the inverse of its first."""
+    letters = [x for k in range(1, rank + 1) for x in (k, -k)]  # index j ^ 1 is the inverse
+    out: list[Word] = []
+    for n in range(1, maxlen + 1):
+        a = [0] * n
+
+        def rec(t: int, p: int) -> None:
+            if t == n:
+                if n % p == 0 and a[-1] != a[0] ^ 1:
+                    out.append(tuple(letters[j] for j in a))
+                return
+            lo, cut = a[t - p], a[t - 1] ^ 1
+            for j in range(lo, len(letters)):
+                if j != cut:
+                    a[t] = j
+                    rec(t + 1, p if j == lo else t + 1)
+
+        for j in range(len(letters)):
+            a[0] = j
+            rec(1, 1)
+    return out
 
 
 def enumerate_classes(p: Presentation, maxlen: int, merge_inverse: bool = False) -> list[ConjClassKey]:
@@ -190,21 +213,22 @@ def enumerate_classes(p: Presentation, maxlen: int, merge_inverse: bool = False)
     (length, letter order).  Deterministic and duplicate-free."""
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
-    rank = p.free_rank
-    seen = {}
-    for L in range(1, maxlen + 1):
-        for w in reduced_words(rank, L):
-            if cyclic_reduce(w) != w:
-                continue
-            try:
-                key = canonical_class(w, p, merge_inverse=merge_inverse)
-            except EmptyWord:
-                continue
-            if len(key.word) > maxlen:
-                continue
-            seen.setdefault(key.word, key)
-    order = sorted(seen, key=lambda v: (len(v), tuple(_letter_order(x) for x in v)))
-    return [seen[w] for w in order]
+    necklaces = _necklaces(p.free_rank, maxlen)
+    if p.punctures == 0:
+        # Dehn-reduced keys are not conjugacy invariants yet, so every
+        # cyclically reduced word (every rotation of every necklace) is keyed.
+        seen = {}
+        for w in necklaces:
+            for k in range(len(w)):
+                try:
+                    key = canonical_class(w[k:] + w[:k], p, merge_inverse=merge_inverse)
+                except EmptyWord:
+                    continue
+                seen.setdefault(key.word, key)
+        return [seen[v] for v in sorted(seen, key=_order_key)]
+    if merge_inverse:
+        necklaces = [w for w in necklaces if letter_code(w) <= letter_code(least_rotation(invert(w)))]
+    return [ConjClassKey(w, inverse_paired=merge_inverse) for w in necklaces]
 
 
 def evaluate(w, rep) -> Mat2:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from speclab.cli import main
 
 
@@ -120,6 +122,27 @@ def test_elliptic_rep_file_is_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "elliptic" in err
 
 
+def _write_rep(path, matrices):
+    path.write_text(json.dumps({"genus": 1, "punctures": 1, "matrices": matrices}))
+    return str(path)
+
+
+def test_rep_file_with_missing_matrix_is_input_error(tmp_path, capsys):
+    # genus 1 with one puncture has three generators; the file gives two
+    rep = _write_rep(tmp_path / "short.json", [["2", "0", "0", "0.5"], ["1", "1", "1", "2"]])
+    assert main(["spectrum", "--rep-file", rep, "--maxlen", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3 matrices" in err
+
+
+def test_rep_file_with_short_row_is_input_error(tmp_path, capsys):
+    rep = _write_rep(
+        tmp_path / "row.json", [["2", "0", "0", "0.5"], ["1", "1", "1"], ["1", "0", "0", "1"]]
+    )
+    assert main(["pattern", "--rep-file", rep, "--maxlen", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_rep_file_and_seed_conflict(tmp_path):
     rep_path = tmp_path / "rep.json"
     main(["sample", "--seed", "3", "--output", str(rep_path)])
@@ -136,18 +159,35 @@ def test_determinism_byte_identical():
     assert r3.stdout == r4.stdout
 
 
-def test_cache_dir_roundtrip(tmp_path, capsys):
-    env = {"SPECLAB_CACHE_DIR": str(tmp_path)}
-    r1 = run_cli(["spectrum", "--seed", "4", "--maxlen", "3"], env_extra=env)
-    cached = list(tmp_path.glob("classes-*.txt"))
-    assert r1.returncode == 0 and cached
-    r2 = run_cli(["spectrum", "--seed", "4", "--maxlen", "3"], env_extra=env)
-    assert r1.stdout == r2.stdout
-
-
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3, "maxlen": 2}))
     assert main(["sample", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["genus"] == 1
+
+
+def test_explicit_flag_wins_over_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 4, "maxlen": 2}))
+    assert main(["spectrum", "--maxlen", "3", "--config", str(cfg)]) == 0
+    with_config = capsys.readouterr().out
+    assert main(["spectrum", "--seed", "4", "--maxlen", "3"]) == 0
+    assert with_config == capsys.readouterr().out
+    assert len(with_config.splitlines()) == 4 + 8 + 12  # classes of length <= 3
+
+
+def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for doc in ({"maxlen": "3"}, {"tolerance": True}, {"format": "xml"}, {"trials": 2}):
+        cfg.write_text(json.dumps(doc))
+        assert main(["spectrum", "--seed", "4", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "config key" in err
+
+
+def test_format_is_a_spectrum_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pattern", "--seed", "4", "--maxlen", "2", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
+from speclab import surface_group as sg
 from speclab.mobius import Mat2, identity
 from speclab.surface_group import (
     EmptyWord,
@@ -14,6 +16,7 @@ from speclab.surface_group import (
     format_word,
     free_reduce,
     invert,
+    least_rotation,
     parse_word,
     relator,
 )
@@ -116,6 +119,72 @@ def test_enumerate_classes_closed_genus_two():
             except EmptyWord:
                 continue
     assert set(classes) == seen
+
+
+def _phi(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+@pytest.mark.parametrize("m,maxlen", [(2, 10), (3, 7), (4, 5)])
+def test_enumerate_classes_closed_form_counts(m, maxlen):
+    # necklace count: (1/n) sum_{d | n} phi(n/d) c_d, where
+    # c_d = (2m-1)^d + 1 + (m-1)(1 + (-1)^d) counts cyclically reduced words
+    lengths = [len(k.word) for k in enumerate_classes(Presentation(1, m - 1), maxlen)]
+    for n in range(1, maxlen + 1):
+        total = sum(
+            _phi(n // d) * ((2 * m - 1) ** d + 1 + (m - 1) * (1 + (-1) ** d))
+            for d in range(1, n + 1)
+            if n % d == 0
+        )
+        assert total % n == 0
+        assert lengths.count(n) == total // n
+
+
+def _naive_least_rotation(w):
+    order = lambda v: [(abs(x), x < 0) for x in v]  # a1 < A1 < b1 < B1 < ...
+    return min((w[i:] + w[:i] for i in range(len(w))), key=order, default=w)
+
+
+def _brute_force_ordered(p, maxlen, merge_inverse):
+    """Every cyclically reduced word, keyed by its least rotation (after Dehn
+    reduction on closed surfaces), deduplicated and sorted."""
+    order = lambda v: (len(v), [(abs(x), x < 0) for x in v])
+    letters = [x for k in range(1, p.free_rank + 1) for x in (k, -k)]
+    rel = relator(p)
+    keys = set()
+    for L in range(1, maxlen + 1):
+        for w in itertools.product(letters, repeat=L):
+            if any(w[i] == -w[(i + 1) % L] for i in range(L)):
+                continue
+            if p.punctures == 0:
+                w = sg._dehn_reduce(w, rel)
+                if not w:
+                    continue
+            key = _naive_least_rotation(w)
+            if merge_inverse:
+                key = min(key, _naive_least_rotation(invert(key)), key=order)
+            keys.add(key)
+    return sorted(keys, key=order)
+
+
+@pytest.mark.parametrize(
+    "g,n,maxlen", [(1, 1, 7), (1, 2, 5), (2, 0, 4)], ids=["m2", "m3", "closed-g2"]
+)
+@pytest.mark.parametrize("merge_inverse", [False, True])
+def test_enumerate_classes_matches_brute_force_order(g, n, maxlen, merge_inverse):
+    p = Presentation(g, n)
+    classes = enumerate_classes(p, maxlen, merge_inverse=merge_inverse)
+    assert [k.word for k in classes] == _brute_force_ordered(p, maxlen, merge_inverse)
+    assert all(k.inverse_paired is merge_inverse for k in classes)
+
+
+def test_least_rotation_matches_naive():
+    rng = random.Random(2000)
+    for _ in range(3000):
+        # small alphabets give periodic words and ties between least letters
+        letters = [1, -1, 2, -2, 3, -3][: rng.choice((1, 2, 4, 6))]
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
+        assert least_rotation(w) == _naive_least_rotation(w)
 
 
 def test_evaluate_trivial_cases():
