@@ -190,11 +190,11 @@ def _random_point(rng: random.Random) -> BoundaryPoint:
     return BoundaryPoint.from_angle(rng.uniform(0.0, 2.0 * math.pi))
 
 
-def _separated_points(rng, count, floor=1e-3, tries=1000):
-    for _ in range(tries):
+def _separated_points(rng, count):
+    for _ in range(1000):
         pts = [_random_point(rng) for _ in range(count)]
         if all(
-            pts[i].angle_dist(pts[j]) > floor
+            pts[i].angle_dist(pts[j]) > 1e-3
             for i in range(count)
             for j in range(i + 1, count)
         ):

@@ -272,14 +272,14 @@ def eval_trace_poly(p: TracePoly, rep, m: int | None = None):
     return p.evaluate(character_values(rep, m))
 
 
-def random_exact_rep(m: int, rng: random.Random, factors: int = 4):
+def random_exact_rep(m: int, rng: random.Random):
     """Random integer SL2 representation (products of elementary matrices)."""
     from .fricke import SurfaceRep  # local import to avoid a cycle
 
     mats = []
     for _ in range(m):
         mat = Mat2(1, 0, 0, 1)
-        for _ in range(factors):
+        for _ in range(4):
             r = rng.randint(-3, 3)
             if rng.random() < 0.5:
                 mat = mat * Mat2(1, r, 0, 1)

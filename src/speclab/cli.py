@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="speclab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=True):
+    def common(p):
         p.add_argument("--rank", type=int, default=2, help="free rank m (default 2)")
         p.add_argument("--maxlen", type=int, default=6)
         p.add_argument("--tolerance", type=float, default=1e-9)

@@ -141,11 +141,8 @@ class SurfaceRep:
         det = h.det()
         hinv = Mat2(h.d / det, -h.b / det, -h.c / det, h.a / det)
         mats = tuple((h * m * hinv) for m in self.matrices)
-        return SurfaceRep(
-            self.presentation,
-            mats,
-            _validate(self.presentation, mats, self.validity.discreteness_certificate if self.validity else None),
-        )
+        # the certificate names the disks of the unconjugated generators
+        return SurfaceRep(self.presentation, mats, _validate(self.presentation, mats))
 
     def digest(self) -> str:
         import hashlib
@@ -366,7 +363,7 @@ def _beta_normalization_point(beta1: Mat2, x_plus, x_minus):
 # Certified sampling.
 # ---------------------------------------------------------------------------
 
-def schottky_sample(seed: int, m: int = 2, spread: float = 1.0, max_retries: int = 64) -> SurfaceRep:
+def schottky_sample(seed: int, m: int = 2) -> SurfaceRep:
     """Discrete free rank-m group from disjoint isometric-circle pairs.
 
     Generator k maps the outside of one disk onto the inside of its partner;
@@ -375,14 +372,14 @@ def schottky_sample(seed: int, m: int = 2, spread: float = 1.0, max_retries: int
     if m < 2:
         raise FrickeError("need m >= 2")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(64):
         centers = []
         radii = []
         ok = True
         for _ in range(2 * m):
             for _try in range(200):
-                x = rng.uniform(-4.0 * spread, 4.0 * spread)
-                r = rng.uniform(0.25 * spread, 0.6 * spread)
+                x = rng.uniform(-4.0, 4.0)
+                r = rng.uniform(0.25, 0.6)
                 if all(abs(x - y) > (r + s) * 1.15 for y, s in zip(centers, radii)):
                     centers.append(x)
                     radii.append(r)
@@ -409,7 +406,7 @@ def schottky_sample(seed: int, m: int = 2, spread: float = 1.0, max_retries: int
         disks = [(p, r) for (p, r, _, _) in cert] + [(q, r) for (_, _, q, r) in cert]
         if _disks_disjoint(disks):
             return SurfaceRep.free_rep(mats, certificate=tuple(cert))
-    raise SamplingFailed(f"no disjoint disk configuration after {max_retries} tries")
+    raise SamplingFailed("no disjoint disk configuration after 64 tries")
 
 
 def _disks_disjoint(disks) -> bool:
@@ -421,7 +418,7 @@ def _disks_disjoint(disks) -> bool:
     return True
 
 
-def punctured_torus_sample(seed: int, trace_low: float = 2.3, trace_high: float = 5.0) -> SurfaceRep:
+def punctured_torus_sample(seed: int) -> SurfaceRep:
     """Normalized punctured-torus point: generator traces (x, y, z) with
     x^2 + y^2 + z^2 = xyz, which makes the commutator parabolic (trace -2).
 
@@ -430,8 +427,8 @@ def punctured_torus_sample(seed: int, trace_low: float = 2.3, trace_high: float 
     """
     rng = random.Random(seed)
     for _ in range(256):
-        x = rng.uniform(max(trace_low, 3.0), trace_high)
-        y = rng.uniform(max(trace_low, 3.0), trace_high)
+        x = rng.uniform(3.0, 5.0)
+        y = rng.uniform(3.0, 5.0)
         disc = x * x * y * y - 4.0 * (x * x + y * y)
         if disc <= 0:
             continue
@@ -484,20 +481,31 @@ def rep_to_json(rep: SurfaceRep) -> str:
 
 def rep_from_json(text: str) -> SurfaceRep:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise FrickeError("a rep file must hold a JSON object")
+    for field in ("genus", "punctures"):
+        if type(doc.get(field)) is not int or doc[field] < 0:
+            raise FrickeError(f"{field!r} must be a non-negative integer, got {doc.get(field)!r}")
     pres = sg.Presentation(genus=doc["genus"], punctures=doc["punctures"])
-    rows = doc["matrices"]
+    rows = doc.get("matrices")
     if not isinstance(rows, list) or len(rows) != pres.num_generators:
         raise FrickeError(
             f"expected a list of {pres.num_generators} matrices for (g,n)=({pres.genus},{pres.punctures})"
         )
     if not all(isinstance(row, list) and len(row) == 4 for row in rows):
         raise FrickeError("every matrix needs a list of 4 entries a, b, c, d")
-    mats = tuple(Mat2(*(float(v) for v in row)) for row in rows)
-    cert = None
-    if isinstance(doc.get("validity"), dict):
-        stored = doc["validity"].get("discreteness_certificate")
-        if stored is not None:
-            cert = tuple(tuple(float(x) for x in row) for row in stored)
+    validity = doc.get("validity")
+    stored = validity.get("discreteness_certificate") if isinstance(validity, dict) else None
+    try:
+        mats = tuple(Mat2(*(float(v) for v in row)) for row in rows)
+        cert = None if stored is None else tuple(tuple(float(x) for x in row) for row in stored)
+    except (TypeError, ValueError):
+        raise FrickeError("matrix entries and certificate values must be numbers") from None
+    for k, m in enumerate(mats, 1):
+        # a relative bound: printed entries lose accuracy in ad and bc, not in det
+        ad, bc = m.a * m.d, m.b * m.c
+        if not abs(ad - bc - 1.0) <= 1e-9 * max(1.0, abs(ad), abs(bc)):
+            raise FrickeError(f"matrix {k} has det {ad - bc!r}, not 1")
     return SurfaceRep(pres, mats, _validate(pres, mats, cert))
 
 

@@ -113,44 +113,36 @@ def identity() -> Mat2:
     return Mat2(1, 0, 0, 1)
 
 
-def classify(m: Mat2, eps: float = EPS) -> IsometryClass:
-    """Classify by |tr| relative to 2; identity means m = +-I."""
-    t = m.tr()
+def classify(m: Mat2) -> IsometryClass:
+    """Classify by |tr| relative to 2.  Only at |tr| = 2 (within EPS for
+    floats) are the entries read, to tell +-I (identity) from a parabolic."""
     if m.exact():
-        if m in (identity(), -identity()):
+        at = abs(m.tr())
+        if at == 2 and m in (identity(), -identity()):
             return IsometryClass.IDENTITY
-        at = abs(t)
         if at > 2:
             return IsometryClass.HYPERBOLIC
         if at == 2:
             return IsometryClass.PARABOLIC
         return IsometryClass.ELLIPTIC
-    if m.dist_to_pm_identity() <= eps:
-        return IsometryClass.IDENTITY
-    at = abs(float(t))
-    if at > 2 + eps:
+    at = abs(float(m.tr()))
+    if at > 2 + EPS:
         return IsometryClass.HYPERBOLIC
-    if at >= 2 - eps:
+    if at >= 2 - EPS:
+        if m.dist_to_pm_identity() <= EPS:
+            return IsometryClass.IDENTITY
         return IsometryClass.PARABOLIC
     return IsometryClass.ELLIPTIC
 
 
-def translation_length(m: Mat2, eps: float = EPS) -> float:
+def translation_length(m: Mat2) -> float:
     """Geodesic translation length 2*arccosh(|tr|/2); 0 for parabolic/identity."""
-    cls = classify(m, eps)
+    cls = classify(m)
     if cls is IsometryClass.ELLIPTIC:
         raise EllipticElement(f"trace {m.tr()} has no geodesic representative")
     if cls is not IsometryClass.HYPERBOLIC:
         return 0.0
-    half = abs(float(m.tr())) / 2.0
-    return 2.0 * math.acosh(half)
-
-
-def length_from_trace(t: float) -> float:
-    at = abs(float(t))
-    if at <= 2.0:
-        return 0.0
-    return 2.0 * math.acosh(at / 2.0)
+    return 2.0 * math.acosh(abs(float(m.tr())) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +257,11 @@ def act_real(m: Mat2, x):
     return (a * x + b) / den
 
 
-def fixed_points(m: Mat2, eps: float = EPS) -> tuple[BoundaryPoint, BoundaryPoint]:
+def fixed_points(m: Mat2) -> tuple[BoundaryPoint, BoundaryPoint]:
     """(attracting, repelling) fixed points of a hyperbolic element."""
-    if classify(m, eps) is not IsometryClass.HYPERBOLIC:
-        raise NotHyperbolic(f"classify = {classify(m, eps).value}")
+    cls = classify(m)
+    if cls is not IsometryClass.HYPERBOLIC:
+        raise NotHyperbolic(f"classify = {cls.value}")
     a, b, c, d = (float(x) for x in m.entries())
     if c == 0.0:
         # fixed points are infinity and b/(d-a)

@@ -42,11 +42,10 @@ def spectrum(
     rep: SurfaceRep,
     maxlen: int,
     tol: float = 1e-9,
-    merge_inverse: bool = False,
     classes=None,
 ) -> LengthSpectrum:
     if classes is None:
-        classes = sg.enumerate_classes(rep.presentation, maxlen, merge_inverse=merge_inverse)
+        classes = sg.enumerate_classes(rep.presentation, maxlen)
     traces = []
     lengths = []
     exact = all(m.exact() for m in rep.matrices)
@@ -75,7 +74,6 @@ class Pattern:
 
     blocks: tuple  # tuple of tuples of ConjClassKey
     tolerance: float
-    fingerprints: tuple  # representative length (or exact trace) per block
 
     @property
     def class_set(self):
@@ -98,24 +96,19 @@ def pattern(s: LengthSpectrum, tol: float | None = None) -> Pattern:
         for key, t in zip(s.classes, s.traces):
             groups.setdefault(Fraction(t), []).append(key)
         items = sorted(groups.items(), key=lambda kv: kv[0])
-        blocks = tuple(tuple(v) for _, v in items)
-        fps = tuple(float(t) for t, _ in items)
-        return Pattern(blocks, 0.0, fps)
+        return Pattern(tuple(tuple(v) for _, v in items), 0.0)
     order = sorted(range(len(s.classes)), key=lambda i: s.lengths[i])
     blocks = []
-    fps = []
     current = [order[0]] if order else []
     for prev, nxt in zip(order, order[1:]):
         if s.lengths[nxt] - s.lengths[prev] <= tol:
             current.append(nxt)
         else:
             blocks.append(tuple(s.classes[i] for i in current))
-            fps.append(s.lengths[current[0]])
             current = [nxt]
     if current:
         blocks.append(tuple(s.classes[i] for i in current))
-        fps.append(s.lengths[current[0]])
-    return Pattern(tuple(blocks), tol, tuple(fps))
+    return Pattern(tuple(blocks), tol)
 
 
 def subrelation(p1: Pattern, p2: Pattern):
@@ -142,7 +135,7 @@ def partition_equal(p1: Pattern, p2: Pattern) -> bool:
 def rmin_pattern(classes, m: int) -> Pattern:
     """Partition by provable character-polynomial equality up to sign."""
     blocks = characters.rmin_blocks(classes, m).values()
-    return Pattern(tuple(tuple(v) for v in blocks), 0.0, tuple(range(len(blocks))))
+    return Pattern(tuple(tuple(v) for v in blocks), 0.0)
 
 
 def scan_generic(
@@ -189,10 +182,13 @@ def scan_generic(
         for retry in range(8):
             try:
                 rep = schottky_sample(trial_seed + retry * 7919, m)
-                yield one_trial(i, rep, trial_seed)
+                record = one_trial(i, rep, trial_seed)
                 break
             except (SpectrumError, SamplingFailed):
                 continue
+        else:
+            raise SpectrumError(f"trial {i} (seed {trial_seed}): all 8 draws failed")
+        yield record
 
 
 def modular_torus_rep() -> SurfaceRep:

@@ -143,6 +143,46 @@ def test_rep_file_with_short_row_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"punctures": 1, "matrices": []},
+        {"genus": "1", "punctures": 1, "matrices": []},
+        {"genus": 1, "punctures": True, "matrices": []},
+        {"genus": 1, "punctures": 1},
+        {"genus": 1, "punctures": 1, "matrices": [[None, 0, 0, 1], [3, 1, 1, 1], [1, 0, 0, 1]]},
+        {
+            "genus": 1,
+            "punctures": 1,
+            "matrices": [[2, 0, 0, 0.5], [1, 1, 1, 2], [1, 0, 0, 1]],
+            "validity": {"discreteness_certificate": [1]},
+        },
+    ],
+)
+def test_malformed_rep_file_is_input_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spectrum", "--rep-file", str(path), "--maxlen", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_rep_file_with_det_not_one_is_input_error(tmp_path, capsys):
+    rep = _write_rep(tmp_path / "det.json", [[4, 0, 0, 1], [3, 1, 1, 1], [1, 0, 0, 1]])
+    assert main(["spectrum", "--rep-file", rep, "--maxlen", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "matrix 1 has det" in err
+
+
+def test_compare_rejects_malformed_other(tmp_path, capsys):
+    good = tmp_path / "rep.json"
+    main(["sample", "--seed", "9", "--output", str(good)])
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    assert main(["compare", "--rep-file", str(good), "--other", str(bad), "--maxlen", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_rep_file_and_seed_conflict(tmp_path):
     rep_path = tmp_path / "rep.json"
     main(["sample", "--seed", "3", "--output", str(rep_path)])

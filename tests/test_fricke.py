@@ -117,6 +117,23 @@ def test_rep_json_roundtrip():
         assert rep.matrix(k).max_diff(back.matrix(k)) == 0.0
 
 
+def test_sampled_reps_survive_json_roundtrip():
+    # printed entries lose absolute accuracy in ad and bc, not relative
+    for m in (2, 3, 4):
+        for seed in range(20):
+            rep = schottky_sample(seed, m)
+            back = rep_from_json(rep_to_json(rep))
+            assert back.presentation == rep.presentation
+
+
+def test_conjugated_rep_drops_certificate():
+    rep = schottky_sample(6, 2)
+    assert rep.validity.discreteness_certificate is not None
+    conj = rep.conjugated(Mat2(1, 0.5, 0, 1))
+    assert conj.validity.discreteness_certificate is None
+    assert conj.validity.valid
+
+
 def test_vector_json_roundtrip():
     v = fricke_from_rep(punctured_torus_sample(1))
     text = vector_to_json(v)

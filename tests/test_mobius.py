@@ -1,9 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from speclab.mobius import (
+    EPS,
     EllipticElement,
     BoundaryPoint,
     IsometryClass,
@@ -15,7 +17,6 @@ from speclab.mobius import (
     classify,
     fixed_points,
     identity,
-    length_from_trace,
     translation_length,
 )
 
@@ -102,7 +103,7 @@ def test_fixed_points_conjugation_equivariance():
 def test_translation_length_values():
     assert abs(translation_length(Mat2(2, 0, 0, 0.5)) - 2 * math.log(2)) < 1e-12
     assert translation_length(Mat2(1, 1, 0, 1)) == 0.0
-    assert abs(length_from_trace(3) - 2 * math.acosh(1.5)) < 1e-15
+    assert abs(translation_length(Mat2(2, 1, 1, 1)) - 2 * math.acosh(1.5)) < 1e-15
     with pytest.raises(EllipticElement):
         translation_length(Mat2(0, -1, 1, 0))
 
@@ -155,3 +156,106 @@ def test_act_is_bijective_on_samples():
         xi = BoundaryPoint.from_angle(theta)
         back = act(m.inverse(), act(m, xi))
         assert back.angle_dist(xi) < 1e-12
+
+
+def _reference_classify(m):
+    """The former classify, which tested for +-I before reading the trace."""
+    t = m.tr()
+    if m.exact():
+        if m in (identity(), -identity()):
+            return IsometryClass.IDENTITY
+        at = abs(t)
+        if at > 2:
+            return IsometryClass.HYPERBOLIC
+        if at == 2:
+            return IsometryClass.PARABOLIC
+        return IsometryClass.ELLIPTIC
+    if m.dist_to_pm_identity() <= EPS:
+        return IsometryClass.IDENTITY
+    at = abs(float(t))
+    if at > 2 + EPS:
+        return IsometryClass.HYPERBOLIC
+    if at >= 2 - EPS:
+        return IsometryClass.PARABOLIC
+    return IsometryClass.ELLIPTIC
+
+
+def _signed_log_uniform(rng, lo, hi):
+    return rng.choice((-1, 1)) * 10 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+
+def _elementary_product(rng, n, draw):
+    m = identity()
+    for _ in range(n):
+        if rng.random() < 0.5:
+            m = m * Mat2(1, draw(), 0, 1)
+        else:
+            m = m * Mat2(1, 0, draw(), 1)
+    return m
+
+
+def _det_one_float_families(rng):
+    """Seeded det-1 float matrices: near +-I, parabolic conjugates, |tr| - 2
+    between +-1e-12 and +-1e-6, and generic products."""
+    # within 1e-12 .. 1e-6 of I, with d solving ad - bc = 1
+    x, b, c = (_signed_log_uniform(rng, 1e-12, 1e-6) for _ in range(3))
+    yield Mat2(1 + x, b, c, (1 + b * c) / (1 + x))
+    h = _elementary_product(rng, 3, lambda: rng.uniform(-2, 2))
+    yield h * Mat2(1, _signed_log_uniform(rng, 1e-12, 1.0), 0, 1) * h.inverse()
+    # trace 2 + delta: a + d = 2 + delta, b free, c from the determinant
+    delta = _signed_log_uniform(rng, 1e-12, 1e-6)
+    s = rng.uniform(-1, 1)
+    a, d = 1 + delta / 2 + s, 1 + delta / 2 - s
+    b = rng.choice((-1, 1)) * rng.uniform(0.1, 2)
+    yield Mat2(a, b, (a * d - 1) / b, d)
+    yield _elementary_product(rng, rng.randint(1, 6), lambda: rng.uniform(-2, 2))
+
+
+def test_classify_trace_first_matches_reference_on_floats():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(5000):
+        for m in _det_one_float_families(rng):
+            for mm in (m, -m):
+                cls = classify(mm)
+                assert cls is _reference_classify(mm), mm
+                seen.add(cls)
+    assert seen == set(IsometryClass)
+
+
+def test_classify_trace_first_matches_reference_on_exact():
+    rng = random.Random(7)
+    cases = [
+        identity(),
+        -identity(),
+        Mat2(1, 1, 0, 1),
+        Mat2(-1, 1, 0, -1),
+        Mat2(3, -4, 1, -1),  # trace exactly 2, not +-I
+        Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
+        Mat2(Fraction(1, 2), Fraction(-1, 4), Fraction(1), Fraction(3, 2)),  # trace 2
+    ]
+    for _ in range(3000):
+        cases.append(
+            _elementary_product(rng, rng.randint(0, 5), lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        )
+    seen = set()
+    for m in cases:
+        for mm in (m, -m):
+            assert mm.det() == 1
+            cls = classify(mm)
+            assert cls is _reference_classify(mm), mm
+            seen.add(cls)
+    assert seen == set(IsometryClass)
+
+
+def test_classify_reads_entries_only_near_trace_two(monkeypatch):
+    def unexpected(self):
+        raise AssertionError("the +-I test ran away from |tr| = 2")
+
+    monkeypatch.setattr(Mat2, "dist_to_pm_identity", unexpected)
+    monkeypatch.setattr(Mat2, "max_diff", unexpected)
+    assert classify(Mat2(2.0, 1.0, 1.0, 1.0)) is IsometryClass.HYPERBOLIC
+    assert classify(Mat2(-2.0, 1.0, 1.0, -1.0)) is IsometryClass.HYPERBOLIC
+    assert classify(Mat2(0.0, -1.0, 1.0, 0.0)) is IsometryClass.ELLIPTIC
+    assert classify(Mat2(2, 1, 1, 1)) is IsometryClass.HYPERBOLIC
+    assert classify(Mat2(1, 1, 0, 1)) is IsometryClass.PARABOLIC

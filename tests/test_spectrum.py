@@ -7,6 +7,7 @@ from speclab.fricke import SamplingFailed, punctured_torus_sample, schottky_samp
 from speclab.spectrum import (
     ClassSetMismatch,
     LengthSpectrum,
+    SpectrumError,
     modular_torus_rep,
     partition_equal,
     pattern,
@@ -136,6 +137,25 @@ def test_scan_generic_retries_failed_sample(monkeypatch):
     assert [r["trial"] for r in recs] == [0, 1, 2]
     assert calls[1] == calls[0] + 7919  # the failed draw is retried, not the trial dropped
     assert recs[0]["rep_digest"] == schottky_sample(calls[1], 2).digest()
+
+
+def _always_fails(seed, m):
+    raise SamplingFailed("injected")
+
+
+def test_scan_generic_raises_when_every_draw_fails(monkeypatch):
+    monkeypatch.setattr(sys.modules["speclab.spectrum"], "schottky_sample", _always_fails)
+    with pytest.raises(SpectrumError, match=r"trial 0 \(seed 99\)"):
+        list(scan_generic(99, 3, maxlen=3))
+
+
+def test_scan_command_exits_1_when_a_trial_fails(monkeypatch, capsys):
+    from speclab.cli import main
+
+    monkeypatch.setattr(sys.modules["speclab.spectrum"], "schottky_sample", _always_fails)
+    assert main(["scan", "--seed", "2", "--trials", "2", "--maxlen", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: trial 0") and captured.out == ""
 
 
 def test_partition_equal():
