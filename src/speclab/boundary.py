@@ -21,6 +21,7 @@ from .mobius import (
     BoundaryPoint,
     IsometryClass,
     Mat2,
+    NotHyperbolic,
     act,
     boundary_derivative,
     classify,
@@ -72,13 +73,18 @@ def recover_cocycle_from_C(gamma: Mat2, x: BoundaryPoint, y: BoundaryPoint, z: B
     return 0.5 * (_h(cross_term, gx, gy, gz) - _h(cross_term, x, y, z))
 
 
+def _hyperbolic_fixed_points(gamma: Mat2):
+    try:
+        return fixed_points(gamma)
+    except NotHyperbolic:
+        raise DegenerateConfiguration("gamma must be hyperbolic") from None
+
+
 def step1_identity_check(phi, eta: Mat2, gamma: Mat2) -> float:
     """For a coboundary delta = d(phi), check
     delta(eta, gamma+) = f(eta gamma+, gamma-) - f(gamma+, gamma-) with
     f(x, y) = phi(x) + phi(y)."""
-    if classify(gamma) is not IsometryClass.HYPERBOLIC:
-        raise DegenerateConfiguration("gamma must be hyperbolic")
-    gp, gm = fixed_points(gamma)
+    gp, gm = _hyperbolic_fixed_points(gamma)
     egp = act(eta, gp)
     if egp.angle_dist(gm) < SEPARATION_FLOOR:
         raise DegenerateConfiguration("eta gamma+ coincides with gamma-")
@@ -96,9 +102,7 @@ def northsouth_limits(eta: Mat2, gamma: Mat2, n_max: int = 30):
     Returns a list of rows (n, d_plus, d_minus); non-hyperbolic powers are
     reported with None distances and skipped.
     """
-    if classify(gamma) is not IsometryClass.HYPERBOLIC:
-        raise DegenerateConfiguration("gamma must be hyperbolic")
-    gp, gm = fixed_points(gamma)
+    gp, gm = _hyperbolic_fixed_points(gamma)
     target_plus = act(eta, gp)
     if target_plus.angle_dist(gm) < SEPARATION_FLOOR:
         raise DegenerateConfiguration("eta gamma+ coincides with gamma-")
@@ -106,11 +110,11 @@ def northsouth_limits(eta: Mat2, gamma: Mat2, n_max: int = 30):
     power = Mat2(1, 0, 0, 1)
     for n in range(1, n_max + 1):
         power = power * gamma
-        w = eta * power
-        if classify(w) is not IsometryClass.HYPERBOLIC:
+        try:
+            wp, wm = fixed_points(eta * power)
+        except NotHyperbolic:
             rows.append((n, None, None))
             continue
-        wp, wm = fixed_points(w)
         rows.append((n, wp.angle_dist(target_plus), wm.angle_dist(gm)))
     return rows
 

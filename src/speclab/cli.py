@@ -64,7 +64,7 @@ def cmd_sample(args) -> int:
 
 def cmd_spectrum(args) -> int:
     rep = _load_rep(args)
-    s = length_spectrum(rep, args.maxlen, args.tolerance)
+    s = length_spectrum(rep, args.maxlen)
     if args.format == "csv":
         _out(args, rows_to_csv(s.as_rows()))
     else:
@@ -177,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--rank", type=int, default=2, help="free rank m (default 2)")
         p.add_argument("--maxlen", type=int, default=6)
-        p.add_argument("--tolerance", type=float, default=1e-9)
         p.add_argument("--seed", type=int, required=False, default=None)
         p.add_argument("--output", type=str, default=None)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
@@ -195,11 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pattern", help="equal-length blocks")
     common(p)
+    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--rep-file", type=str, default=None)
     p.set_defaults(fn=cmd_pattern, needs_seed=False)
 
     p = sub.add_parser("compare", help="sub-relation report for two reps")
     common(p)
+    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--rep-file", type=str, required=True)
     p.add_argument("--other", type=str, required=True)
     p.set_defaults(fn=cmd_compare, needs_seed=False)
@@ -217,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="genericity experiment")
     common(p)
+    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--arithmetic-point", action="store_true")
     p.set_defaults(fn=cmd_scan, needs_seed=True)

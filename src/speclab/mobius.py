@@ -33,7 +33,8 @@ class EllipticElement(MobiusError):
 
 
 def is_exact(x) -> bool:
-    return isinstance(x, Rational)
+    # the float test first: it spares floats the slower ABC check
+    return type(x) is not float and isinstance(x, Rational)
 
 
 class IsometryClass(Enum):

@@ -49,8 +49,7 @@ def spectrum(
     traces = []
     lengths = []
     exact = all(m.exact() for m in rep.matrices)
-    for key in classes:
-        m = sg.evaluate(key.word, rep)
+    for key, m in zip(classes, sg.evaluate_many((key.word for key in classes), rep)):
         cls = classify(m)
         if cls is IsometryClass.ELLIPTIC:
             raise EllipticClassFound(f"class {key} is elliptic (non-discrete rep?)")

@@ -240,6 +240,34 @@ def evaluate(w, rep) -> Mat2:
     return out
 
 
+def evaluate_many(words, rep):
+    """Yield evaluate(w, rep) for each word, in the order given.
+
+    The products of the previous word's prefixes are kept on a stack; each
+    word reuses the longest prefix it shares with the previous one and costs
+    one multiply per letter after it.  Products are formed left to right from
+    identity(), as in evaluate, so every result is identical to evaluate's."""
+    gens = {}
+    for k, m in enumerate(rep.matrices, 1):
+        gens[k] = m
+        gens[-k] = m.inverse()
+    stack = [identity()]
+    prev: Word = ()
+    for w in words:
+        n = 0
+        for x, y in zip(prev, w):
+            if x != y:
+                break
+            n += 1
+        del stack[n + 1 :]
+        top = stack[-1]
+        for x in w[n:]:
+            top = top * gens[x]
+            stack.append(top)
+        prev = w
+        yield top
+
+
 # -- text serialization ------------------------------------------------------
 
 def format_word(w, p: Presentation) -> str:

@@ -5,6 +5,7 @@ import pytest
 
 from speclab.boundary import (
     CoincidentPoints,
+    DegenerateConfiguration,
     busemann,
     cross_term,
     decay_rate,
@@ -144,6 +145,21 @@ def test_northsouth_convergence_and_rate():
     if rate is not None:
         expected = math.exp(-translation_length(g))
         assert abs(rate - expected) / expected < 0.2
+
+
+def test_parabolic_gamma_is_degenerate():
+    gamma = Mat2(1, 1, 0, 1)
+    with pytest.raises(DegenerateConfiguration):
+        step1_identity_check(lambda q: 0.0, REP.matrix(2), gamma)
+    with pytest.raises(DegenerateConfiguration):
+        northsouth_limits(REP.matrix(2), gamma)
+
+
+def test_northsouth_reports_non_hyperbolic_power():
+    g = REP.matrix(1)
+    rows = northsouth_limits(g.inverse(), g, n_max=4)
+    assert rows[0] == (1, None, None)  # g^-1 g is the identity
+    assert all(dp is not None and dm is not None for _, dp, dm in rows[1:])
 
 
 def test_pullback_identity_conjugator():

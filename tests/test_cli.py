@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from speclab.cli import main
+from speclab.spectrum import modular_torus_rep, spectrum
 
 
 def run_cli(args, env_extra=None):
@@ -219,9 +221,14 @@ def test_explicit_flag_wins_over_config(tmp_path, capsys):
 
 def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    for doc in ({"maxlen": "3"}, {"tolerance": True}, {"format": "xml"}, {"trials": 2}):
+    for command, doc in (
+        ("spectrum", {"maxlen": "3"}),
+        ("pattern", {"tolerance": True}),
+        ("spectrum", {"format": "xml"}),
+        ("spectrum", {"trials": 2}),
+    ):
         cfg.write_text(json.dumps(doc))
-        assert main(["spectrum", "--seed", "4", "--config", str(cfg)]) == 1
+        assert main([command, "--seed", "4", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "config key" in err
 
@@ -231,3 +238,49 @@ def test_format_is_a_spectrum_option_only(capsys):
         main(["pattern", "--seed", "4", "--maxlen", "2", "--format", "csv"])
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+def test_tolerance_is_an_option_of_pattern_compare_and_scan_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--seed", "4", "--maxlen", "2", "--tolerance", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+# sha256 of stdout at fixed seeds; a change to any printed digit fails here
+GOLDEN_STDOUT = [
+    (
+        ["spectrum", "--seed", "11", "--rank", "3", "--maxlen", "5"],
+        "b3c5cecbbe15a17837d42a3d63273d35d4e3c1a5e8fb38c7340d0899dc9b822b",
+    ),
+    (
+        ["spectrum", "--seed", "11", "--maxlen", "7", "--format", "csv"],
+        "f56cf5d5c5ede0acd949c3dd035c269c688c73c1a44e794b7e7923b3415339f3",
+    ),
+    (
+        ["pattern", "--seed", "11", "--rank", "3", "--maxlen", "5"],
+        "5814e2b64630fe2e24e07b3e01fef0bc75fa8ebe437bafd63f3ebdb2a5e3787d",
+    ),
+    (
+        ["scan", "--seed", "1", "--trials", "5", "--maxlen", "6", "--arithmetic-point"],
+        "1ee5f580265c4510a5b581e38a3d0deaf2235780df75d632d1229e6768a86bf4",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_STDOUT, ids=["spectrum-jsonl", "spectrum-csv", "pattern", "scan"]
+)
+def test_golden_stdout(argv, digest, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_golden_exact_spectrum_rows():
+    # modular torus: integer matrices, so the traces are exact integers
+    rows = spectrum(modular_torus_rep(), 8).as_rows()
+    text = "".join(f"{k} {t!r} {l!r}\n" for k, t, l in rows)
+    assert len(rows) == 1386
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "024eef83229a481e07a02f8c1e7a108940880c534c084c34eed0a003f9aff2b0"
+    )

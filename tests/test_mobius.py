@@ -41,6 +41,16 @@ def test_mat2_algebra():
     assert a.tr() == 3
 
 
+def test_exact_entries():
+    assert Mat2(1, 1, 0, 1).exact()
+    assert Mat2(True, False, False, True).exact()
+    assert Mat2(Fraction(1, 2), Fraction(0), Fraction(0), Fraction(2)).exact()
+    assert Mat2(Fraction(1, 2), 0, 3, 2).exact()
+    assert not Mat2(2.0, 0.0, 0.0, 0.5).exact()
+    assert not Mat2(2.0, 0, 0, 1).exact()
+    assert not Mat2(1, 1, 0.0, 1).exact()
+
+
 def test_composition_associativity():
     rng = random.Random(1)
     worst = 0.0

@@ -19,6 +19,7 @@ from speclab.spectrum import (
 )
 from speclab.characters import RminVerdict, rmin_test
 import speclab.surface_group as sg
+from speclab.mobius import translation_length
 
 F2 = sg.Presentation(genus=1, punctures=1)
 
@@ -65,6 +66,22 @@ def test_spectrum_powers_scale_lengths():
     s = spectrum(rep, 3)
     by_key = {str(k): l for k, l in zip(s.classes, s.lengths)}
     assert abs(by_key["aaa"] - 3 * by_key["a"]) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "rep,maxlen", [(schottky_sample(6, 3), 5), (modular_torus_rep(), 7)], ids=["float", "exact"]
+)
+def test_spectrum_matches_reference_built_with_evaluate(rep, maxlen):
+    classes = sg.enumerate_classes(rep.presentation, maxlen)
+    traces, lengths = [], []
+    for key in classes:
+        m = sg.evaluate(key.word, rep)
+        traces.append(abs(m.tr()) if m.exact() else abs(float(m.tr())))
+        lengths.append(translation_length(m))
+    s = spectrum(rep, maxlen)
+    assert s.classes == tuple(classes)
+    assert s.traces == tuple(traces)
+    assert s.lengths == tuple(lengths)
 
 
 def test_subrelation_reflexive():

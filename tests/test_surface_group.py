@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from math import gcd
 
@@ -13,6 +14,7 @@ from speclab.surface_group import (
     cyclic_reduce,
     enumerate_classes,
     evaluate,
+    evaluate_many,
     format_word,
     free_reduce,
     invert,
@@ -20,7 +22,8 @@ from speclab.surface_group import (
     parse_word,
     relator,
 )
-from speclab.fricke import SurfaceRep
+from speclab.fricke import SurfaceRep, schottky_sample
+from speclab.spectrum import modular_torus_rep
 
 F2 = Presentation(genus=1, punctures=1)
 
@@ -206,6 +209,63 @@ def test_evaluate_is_homomorphism():
         rhs = evaluate(w1, rep) * evaluate(w2, rep)
         worst = max(worst, lhs.max_diff(rhs))
     assert worst < 1e-10
+
+
+def _closed_genus_two_rep():
+    # four float matrices under the closed genus-2 presentation; the relator
+    # need not hold for a check of the products alone
+    return SurfaceRep(Presentation(2, 0), schottky_sample(5, 4).matrices[:4])
+
+
+@pytest.mark.parametrize(
+    "p,maxlen,rep",
+    [
+        (F2, 8, schottky_sample(3, 2)),
+        (F2, 8, modular_torus_rep()),
+        (Presentation(1, 2), 6, schottky_sample(4, 3)),
+        (Presentation(2, 0), 4, _closed_genus_two_rep()),
+    ],
+    ids=["m2-float", "m2-exact", "m3-float", "closed-g2"],
+)
+@pytest.mark.parametrize("merge_inverse", [False, True])
+def test_evaluate_many_matches_evaluate_on_class_lists(p, maxlen, rep, merge_inverse):
+    for L in range(1, maxlen + 1):
+        words = [k.word for k in enumerate_classes(p, L, merge_inverse=merge_inverse)]
+        # exact Mat2 equality: the same products in the same order
+        assert list(evaluate_many(words, rep)) == [evaluate(w, rep) for w in words]
+
+
+@pytest.mark.parametrize("rep", [schottky_sample(3, 2), modular_torus_rep()], ids=["float", "exact"])
+def test_evaluate_many_any_order(rep):
+    words = [k.word for k in enumerate_classes(F2, 5)]
+    rng = random.Random(5)
+    shuffled = rng.choices(words, k=2 * len(words))  # repeats, and no shared order
+    for ws in (shuffled, [(), (1, 2), (), (1, 2), (1,), ()], [(1, -2, 1)], []):
+        assert list(evaluate_many(ws, rep)) == [evaluate(w, rep) for w in ws]
+
+
+def test_evaluate_many_multiplies_once_per_letter_after_shared_prefix(monkeypatch):
+    rep = schottky_sample(1, 2)
+    words = [k.word for k in enumerate_classes(F2, 8)]
+    calls = []
+    mul = Mat2.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(Mat2, "__mul__", counted)
+    list(evaluate_many(words, rep))
+    new_letters = sum(
+        len(w) - len(os.path.commonprefix([v, w])) for v, w in zip([()] + words, words)
+    )
+    assert len(calls) == new_letters == 3097  # evaluate: one per letter, 10112
+
+
+def test_evaluate_many_is_lazy():
+    out = evaluate_many(iter([(1,), (1, 2)]), modular_torus_rep())
+    assert next(out) == Mat2(1, 1, 1, 2)
+    assert next(out) == Mat2(1, 1, 1, 2) * Mat2(1, -1, -1, 2)
 
 
 def test_word_text_roundtrip():
