@@ -96,11 +96,13 @@ def step1_identity_check(phi, eta: Mat2, gamma: Mat2) -> float:
     return abs(delta - (f(egp, gm) - f(gp, gm)))
 
 
-def northsouth_limits(eta: Mat2, gamma: Mat2, n_max: int = 30):
+def northsouth_limits(eta: Mat2, gamma: Mat2, n_max: int = 30, n_min: int = 1):
     """Fixed points of eta gamma^n against the limit points eta gamma+ / gamma-.
 
-    Returns a list of rows (n, d_plus, d_minus); non-hyperbolic powers are
-    reported with None distances and skipped.
+    Returns a list of rows (n, d_plus, d_minus) for n_min <= n <= n_max;
+    non-hyperbolic powers are reported with None distances.  gamma^n is
+    always the same left-to-right product from n = 1, so a row does not
+    depend on n_min.
     """
     gp, gm = _hyperbolic_fixed_points(gamma)
     target_plus = act(eta, gp)
@@ -110,6 +112,8 @@ def northsouth_limits(eta: Mat2, gamma: Mat2, n_max: int = 30):
     power = Mat2(1, 0, 0, 1)
     for n in range(1, n_max + 1):
         power = power * gamma
+        if n < n_min:
+            continue
         try:
             wp, wm = fixed_points(eta * power)
         except NotHyperbolic:
@@ -209,9 +213,10 @@ def _separated_points(rng, count):
 def _random_word_element(rep, rng, max_len=3) -> Mat2:
     rank = rep.presentation.free_rank
     L = rng.randint(1, max_len)
+    letters = [k for k in range(1, rank + 1)] + [-k for k in range(1, rank + 1)]
     w = []
     while len(w) < L:
-        x = rng.choice([k for k in range(1, rank + 1)] + [-k for k in range(1, rank + 1)])
+        x = rng.choice(letters)
         if w and w[-1] == -x:
             continue
         w.append(x)
@@ -228,6 +233,8 @@ def _random_hyperbolic(rep, rng, max_len=3) -> Mat2:
 
 def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]:
     """The full B-cocycle identity suite over one representation."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     reports = []
 
@@ -305,10 +312,10 @@ def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]
         g = _random_hyperbolic(rep, rng, max_len=1)
         e = _random_word_element(rep, rng, max_len=1)
         try:
-            rows = northsouth_limits(e, g, n_max=25)
+            rows = northsouth_limits(e, g, n_max=25, n_min=23)
         except DegenerateConfiguration:
             continue
-        finals = [(dp, dm) for _, dp, dm in rows[-3:] if dp is not None]
+        finals = [(dp, dm) for _, dp, dm in rows if dp is not None]
         if not finals:
             continue
         worst = max(worst, min(dp for dp, _ in finals), min(dm for _, dm in finals))

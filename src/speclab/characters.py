@@ -326,6 +326,8 @@ def rmin_test(w1, w2, m: int, seed: int = 0, n_reps: int = 16) -> RminVerdict:
     P1 = +-P2 is a proof of equality; otherwise |tr| is compared at seeded
     exact representations and any disagreement is decisive.
     """
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     p1 = trace_poly(w1, m)
     p2 = trace_poly(w2, m)
     if rmin_key(p1) == rmin_key(p2):

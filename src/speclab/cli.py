@@ -68,12 +68,13 @@ def cmd_spectrum(args) -> int:
     if args.format == "csv":
         _out(args, rows_to_csv(s.as_rows()))
     else:
+        fmt = sg.word_formatter(rep.presentation)
         lines = []
         for key, t, l in s.as_rows():
             lines.append(
                 json.dumps(
                     {
-                        "class": sg.format_word(key.word, rep.presentation),
+                        "class": fmt(key.word),
                         "trace": _fmt(t),
                         "length": _fmt(l),
                     },
@@ -88,12 +89,11 @@ def cmd_pattern(args) -> int:
     rep = _load_rep(args)
     s = length_spectrum(rep, args.maxlen, args.tolerance)
     p = length_pattern(s)
+    fmt = sg.word_formatter(rep.presentation)
     doc = {
         "rep_digest": s.rep_digest,
         "tolerance": _fmt(p.tolerance),
-        "blocks": [
-            [sg.format_word(k.word, rep.presentation) for k in block] for block in p.blocks
-        ],
+        "blocks": [[fmt(k.word) for k in block] for block in p.blocks],
     }
     _out(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

@@ -270,12 +270,18 @@ def evaluate_many(words, rep):
 
 # -- text serialization ------------------------------------------------------
 
+def word_formatter(p: Presentation):
+    """`format_word` for one presentation, with the letter -> name table
+    built once: +k prints as the k-th generator's name, -k in upper case."""
+    names = {}
+    for k in range(1, p.num_generators + 1):
+        names[k] = p.generator_name(k)
+        names[-k] = names[k].upper()
+    return lambda w: " ".join(map(names.__getitem__, w))
+
+
 def format_word(w, p: Presentation) -> str:
-    toks = []
-    for x in w:
-        name = p.generator_name(abs(x))
-        toks.append(name.upper() if x < 0 else name)
-    return " ".join(toks)
+    return word_formatter(p)(w)
 
 
 def parse_word(text: str, p: Presentation) -> Word:

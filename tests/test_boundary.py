@@ -162,6 +162,24 @@ def test_northsouth_reports_non_hyperbolic_power():
     assert all(dp is not None and dm is not None for _, dp, dm in rows[1:])
 
 
+def test_northsouth_n_min_is_the_tail_of_the_full_rows():
+    rng = random.Random(23)
+    gens = [REP.matrix(k) for k in (1, 2)]
+    gens += [m.inverse() for m in gens]
+    for _ in range(10):
+        g, e = rng.choice(gens), rng.choice(gens)
+        try:
+            full = northsouth_limits(e, g, n_max=25)
+        except DegenerateConfiguration:
+            continue
+        assert northsouth_limits(e, g, n_max=25, n_min=23) == full[-3:]
+    g = REP.matrix(1)
+    full = northsouth_limits(g.inverse(), g, n_max=6)
+    assert full[0] == (1, None, None)
+    for n_min in (1, 2, 5):
+        assert northsouth_limits(g.inverse(), g, n_max=6, n_min=n_min) == full[n_min - 1:]
+
+
 def test_pullback_identity_conjugator():
     beta = pullback_cocycle(identity())
     g = REP.matrix(1)

@@ -91,6 +91,22 @@ def test_cocycle_verify_exit_code(capsys):
     assert all(json.loads(l)["pass"] for l in lines)
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cocycle_verify_rejects_samples_below_one(samples, capsys):
+    assert main(["cocycle-verify", "--seed", "3", "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: samples must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_rmin_rejects_samples_below_one(samples, capsys):
+    assert main(["rmin", "--seed", "3", "--samples", samples, "ab", "aab"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: n_reps must be >= 1" in captured.err
+
+
 def test_scan_command(capsys):
     assert main(["scan", "--seed", "2", "--trials", "2", "--maxlen", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -265,11 +281,28 @@ GOLDEN_STDOUT = [
         ["scan", "--seed", "1", "--trials", "5", "--maxlen", "6", "--arithmetic-point"],
         "1ee5f580265c4510a5b581e38a3d0deaf2235780df75d632d1229e6768a86bf4",
     ),
+    (
+        ["cocycle-verify", "--seed", "7", "--samples", "200"],
+        "195b3cb3e14a4bedd1a6a9795e15f297a766340b606a04b9306ceb84c02c854e",
+    ),
+    (
+        ["cocycle-verify", "--seed", "11", "--rank", "3", "--samples", "200"],
+        "fcbb08984cb238284ee4b2bbacbce2640ff8b18b66fb9aafcf54930a6092a565",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,digest", GOLDEN_STDOUT, ids=["spectrum-jsonl", "spectrum-csv", "pattern", "scan"]
+    "argv,digest",
+    GOLDEN_STDOUT,
+    ids=[
+        "spectrum-jsonl",
+        "spectrum-csv",
+        "pattern",
+        "scan",
+        "cocycle-verify",
+        "cocycle-verify-rank3",
+    ],
 )
 def test_golden_stdout(argv, digest, capsys):
     assert main(argv) == 0
