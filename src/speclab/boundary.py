@@ -15,6 +15,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import surface_group as sg
 from .mobius import (
@@ -29,6 +30,9 @@ from .mobius import (
 )
 
 SEPARATION_FLOOR = 1e-6
+
+# A rejection loop of run_all_checks gives up after this many attempts per sample.
+REJECTION_CAP = 100
 
 
 class BoundaryError(Exception):
@@ -67,9 +71,13 @@ def _h(C, x, y, z):
     return C(x, y) + C(x, z) - C(y, z)
 
 
-def recover_cocycle_from_C(gamma: Mat2, x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint) -> float:
-    """Triple-difference recovery: half of h(gx,gy,gz) - h(x,y,z) equals B(gamma, x)."""
-    gx, gy, gz = act(gamma, x), act(gamma, y), act(gamma, z)
+def recover_cocycle_from_C(
+    gamma: Mat2, x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint, images=None
+) -> float:
+    """Triple-difference recovery: half of h(gx,gy,gz) - h(x,y,z) equals B(gamma, x).
+
+    `images`, when given, is (gamma x, gamma y, gamma z) already computed."""
+    gx, gy, gz = images if images is not None else (act(gamma, x), act(gamma, y), act(gamma, z))
     return 0.5 * (_h(cross_term, gx, gy, gz) - _h(cross_term, x, y, z))
 
 
@@ -210,39 +218,109 @@ def _separated_points(rng, count):
     raise BoundaryError("could not draw separated points")
 
 
-def _random_word_element(rep, rng, max_len=3) -> Mat2:
-    rank = rep.presentation.free_rank
+class _Drawn(NamedTuple):
+    word: tuple
+    m: Mat2
+    hyperbolic: bool
+
+
+class _WordMemo:
+    """What one `run_all_checks` call has learnt about the words it drew.
+
+    The suite draws reduced words of length <= 3, of which there are only
+    52 at rank 2 and 186 at rank 3, so most draws repeat a word.  Each
+    distinct word is evaluated and classified once, and the measurements
+    that depend on the drawn words alone (the pole defects of g, the
+    north-south rows of a pair) are taken once; every draw still consumes
+    its random numbers and counts as a sample.
+    """
+
+    def __init__(self, rep):
+        self.rep = rep
+        rank = rep.presentation.free_rank
+        self.letters = [k for k in range(1, rank + 1)] + [-k for k in range(1, rank + 1)]
+        self._drawn: dict[tuple, _Drawn] = {}
+        self._pole_defects: dict[tuple, tuple[float, float]] = {}
+        # (eta word, gamma word) -> rows, or None for a degenerate pair
+        self._northsouth: dict[tuple, list | None] = {}
+
+    def drawn(self, word: tuple) -> _Drawn:
+        hit = self._drawn.get(word)
+        if hit is None:
+            m = sg.evaluate(word, self.rep)
+            hit = self._drawn[word] = _Drawn(word, m, classify(m) is IsometryClass.HYPERBOLIC)
+        return hit
+
+    def pole_defects(self, g: _Drawn) -> tuple[float, float]:
+        """Antisymmetry |B(g, g-) + B(g, g+)| and inverse-class equality
+        |B(g^-1, (g^-1)+) - B(g, g+)| of a hyperbolic g."""
+        hit = self._pole_defects.get(g.word)
+        if hit is None:
+            gp, gm = fixed_points(g.m)
+            gi = g.m.inverse()
+            gip, _ = fixed_points(gi)
+            hit = self._pole_defects[g.word] = (
+                abs(busemann(g.m, gm) + busemann(g.m, gp)),
+                abs(busemann(gi, gip) - busemann(g.m, gp)),
+            )
+        return hit
+
+    def northsouth(self, e: _Drawn, g: _Drawn):
+        """`northsouth_limits(e, g)` at n = 23..25, or None if degenerate."""
+        key = (e.word, g.word)
+        if key not in self._northsouth:
+            try:
+                rows = northsouth_limits(e.m, g.m, n_max=25, n_min=23)
+            except DegenerateConfiguration:
+                rows = None
+            self._northsouth[key] = rows
+        return self._northsouth[key]
+
+
+def _random_word_element(memo: _WordMemo, rng, max_len=3) -> _Drawn:
     L = rng.randint(1, max_len)
-    letters = [k for k in range(1, rank + 1)] + [-k for k in range(1, rank + 1)]
     w = []
     while len(w) < L:
-        x = rng.choice(letters)
+        x = rng.choice(memo.letters)
         if w and w[-1] == -x:
             continue
         w.append(x)
-    return sg.evaluate(tuple(w), rep)
+    return memo.drawn(tuple(w))
 
 
-def _random_hyperbolic(rep, rng, max_len=3) -> Mat2:
+def _random_hyperbolic(memo: _WordMemo, rng, max_len=3) -> _Drawn:
     for _ in range(100):
-        m = _random_word_element(rep, rng, max_len)
-        if classify(m) is IsometryClass.HYPERBOLIC:
-            return m
+        g = _random_word_element(memo, rng, max_len)
+        if g.hyperbolic:
+            return g
     raise BoundaryError("no hyperbolic element found")
 
 
+def _rejections_exhausted(check: str, samples: int, done: int) -> BoundaryError:
+    attempts = REJECTION_CAP * samples
+    return BoundaryError(
+        f"{check}: {attempts - done} of {attempts} draws rejected, "
+        f"{done} of {samples} samples accepted"
+    )
+
+
 def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]:
-    """The full B-cocycle identity suite over one representation."""
+    """The full B-cocycle identity suite over one representation.
+
+    Each check takes `samples` draws.  A check that rejects draws (images
+    too close, a degenerate configuration) gives up with BoundaryError
+    after REJECTION_CAP * samples attempts."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
+    memo = _WordMemo(rep)
     reports = []
 
     # cocycle identity
     worst = 0.0
     for _ in range(samples):
-        g1 = _random_word_element(rep, rng)
-        g2 = _random_word_element(rep, rng)
+        g1 = _random_word_element(memo, rng).m
+        g2 = _random_word_element(memo, rng).m
         xi = _random_point(rng)
         d = abs(busemann(g1 * g2, xi) - busemann(g1, act(g2, xi)) - busemann(g2, xi))
         worst = max(worst, d)
@@ -251,33 +329,34 @@ def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]
     # pairing identity (image separation enforced by rejection)
     worst = 0.0
     done = 0
-    while done < samples:
-        g = _random_word_element(rep, rng, max_len=2)
+    for _ in range(REJECTION_CAP * samples):
+        g = _random_word_element(memo, rng, max_len=2).m
         xi, eta = _separated_points(rng, 2)
         if act(g, xi).angle_dist(act(g, eta)) < 1e-5:
             continue
         worst = max(worst, pairing_check(g, xi, eta))
         done += 1
+        if done == samples:
+            break
+    else:
+        raise _rejections_exhausted("pairing_identity", samples, done)
     reports.append(CheckReport("pairing_identity", samples, worst, 1e-8))
 
     # antisymmetry at the poles and inverse-class equality
     worst_anti = 0.0
     worst_inv = 0.0
     for _ in range(samples):
-        g = _random_hyperbolic(rep, rng)
-        gp, gm = fixed_points(g)
-        worst_anti = max(worst_anti, abs(busemann(g, gm) + busemann(g, gp)))
-        gi = g.inverse()
-        gip, _ = fixed_points(gi)
-        worst_inv = max(worst_inv, abs(busemann(gi, gip) - busemann(g, gp)))
+        anti, inv = memo.pole_defects(_random_hyperbolic(memo, rng))
+        worst_anti = max(worst_anti, anti)
+        worst_inv = max(worst_inv, inv)
     reports.append(CheckReport("antisymmetry_at_poles", samples, worst_anti, 1e-8))
     reports.append(CheckReport("inverse_class_equality", samples, worst_inv, 1e-8))
 
     # C determines c (triple-difference recovery, aux-pair independence)
     worst = 0.0
     done = 0
-    while done < samples:
-        g = _random_word_element(rep, rng, max_len=2)
+    for _ in range(REJECTION_CAP * samples):
+        g = _random_word_element(memo, rng, max_len=2).m
         pts = _separated_points(rng, 5)
         x, y, z, y2, z2 = pts
         imgs = [act(g, p) for p in pts]
@@ -285,40 +364,47 @@ def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]
             imgs[i].angle_dist(imgs[j]) < 1e-5 for i in range(5) for j in range(i + 1, 5)
         ):
             continue
-        r1 = recover_cocycle_from_C(g, x, y, z)
-        r2 = recover_cocycle_from_C(g, x, y2, z2)
+        gx, gy, gz, gy2, gz2 = imgs
+        r1 = recover_cocycle_from_C(g, x, y, z, images=(gx, gy, gz))
+        r2 = recover_cocycle_from_C(g, x, y2, z2, images=(gx, gy2, gz2))
         b = busemann(g, x)
         worst = max(worst, abs(r1 - b), abs(r2 - b), abs(r1 - r2))
         done += 1
+        if done == samples:
+            break
+    else:
+        raise _rejections_exhausted("c_determines_cocycle", samples, done)
     reports.append(CheckReport("c_determines_cocycle", samples, worst, 1e-7))
 
     # Step-1 identity for coboundaries
     worst = 0.0
     done = 0
-    while done < samples:
-        g = _random_hyperbolic(rep, rng)
-        e = _random_word_element(rep, rng)
+    for _ in range(REJECTION_CAP * samples):
+        g = _random_hyperbolic(memo, rng).m
+        e = _random_word_element(memo, rng).m
         try:
             worst = max(worst, step1_identity_check(lambda q: math.cos(q.theta), e, g))
         except DegenerateConfiguration:
             continue
         done += 1
+        if done == samples:
+            break
+    else:
+        raise _rejections_exhausted("step1_coboundary_identity", samples, done)
     reports.append(CheckReport("step1_coboundary_identity", samples, worst, 1e-12))
 
     # north-south limits (Lemma S style convergence)
     worst = 0.0
-    trials = samples
-    for _ in range(trials):
-        g = _random_hyperbolic(rep, rng, max_len=1)
-        e = _random_word_element(rep, rng, max_len=1)
-        try:
-            rows = northsouth_limits(e, g, n_max=25, n_min=23)
-        except DegenerateConfiguration:
+    for _ in range(samples):
+        g = _random_hyperbolic(memo, rng, max_len=1)
+        e = _random_word_element(memo, rng, max_len=1)
+        rows = memo.northsouth(e, g)
+        if rows is None:
             continue
         finals = [(dp, dm) for _, dp, dm in rows if dp is not None]
         if not finals:
             continue
         worst = max(worst, min(dp for dp, _ in finals), min(dm for _, dm in finals))
-    reports.append(CheckReport("northsouth_limits", trials, worst, 1e-6))
+    reports.append(CheckReport("northsouth_limits", samples, worst, 1e-6))
 
     return reports

@@ -125,6 +125,9 @@ def cmd_tracepoly(args) -> int:
 
 
 def cmd_rmin(args) -> int:
+    if args.samples < 1:
+        # checked here, not only in rmin_test: a single word forms no pair
+        raise SystemExit2(f"n_reps must be >= 1, got {args.samples}")
     pres = sg.Presentation(genus=1, punctures=args.rank - 1)
     words = [sg.parse_word(t, pres) for t in args.words]
     lines = []
@@ -269,6 +272,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (
         SystemExit2,
+        boundary.BoundaryError,
         fricke.FrickeError,
         sg.WordError,
         SpectrumError,

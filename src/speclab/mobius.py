@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 
 EPS = 1e-9
@@ -96,6 +97,12 @@ class Mat2:
         if self.exact():
             return -self if t < 0 else self
         return -self if t < -EPS else self
+
+    @cached_property
+    def disk(self) -> tuple[complex, complex, complex, complex]:
+        """`disk_matrix(self)`, computed on first use and kept, so one
+        element acting on many boundary points is conjugated once."""
+        return disk_matrix(self)
 
     def __pow__(self, n: int) -> "Mat2":
         if n < 0:
@@ -223,7 +230,7 @@ def disk_matrix(m: Mat2) -> tuple[complex, complex, complex, complex]:
 
 def act(m: Mat2, xi: BoundaryPoint) -> BoundaryPoint:
     """Fractional-linear action on the circle."""
-    qa, qb, qc, qd = disk_matrix(m)
+    qa, qb, qc, qd = m.disk
     u = xi.u
     den = qc * u + qd
     if abs(den) < 1e-300:
@@ -238,7 +245,7 @@ def act(m: Mat2, xi: BoundaryPoint) -> BoundaryPoint:
 
 def boundary_derivative(m: Mat2, xi: BoundaryPoint) -> float:
     """Conformal derivative |m'(xi)| on the circle (disk model)."""
-    _, _, qc, qd = disk_matrix(m)
+    _, _, qc, qd = m.disk
     den = abs(qc * xi.u + qd)
     return 1.0 / (den * den)
 

@@ -1,9 +1,12 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+import speclab.boundary as boundary
 from speclab.boundary import (
+    BoundaryError,
     CoincidentPoints,
     DegenerateConfiguration,
     busemann,
@@ -237,3 +240,55 @@ def test_check_report_json():
 
     doc = json.loads(reports[0].to_json())
     assert set(doc) == {"check", "samples", "max_defect", "tolerance", "pass"}
+
+
+# sha256 of the report JSON lines, computed before the per-call word memo
+# existed: the four rep seeds of the perfbench `cocycle` workload at seed 1
+# (two of them fail a check) and one rank-3 rep.
+GOLDEN_REPORTS = [
+    (288545018, 2, 1000, "99a2371f5fe571fef812f7e47b87699ab61e363a7a64102b9c0d136e74ed4621"),
+    (135520872, 2, 1000, "f66d1dbafb43a7d96377b8abf537ae38e4e58e601e8e1447693e77832bec556b"),
+    (547756574, 2, 1000, "de2cf5b80d871e56ad2353ecec72625fd56405d18a50ca54fca697769c2d1d5a"),
+    (253228484, 2, 1000, "c921253f2032b1d3e7ed42df9d37a6432feee966844d6a4293a2941d36cb0384"),
+    (3, 3, 300, "3e7a1f457859fb335f3c1510c957359be35fe415e0f57fb73365793b6bbc10ab"),
+]
+
+
+@pytest.mark.parametrize("seed,rank,samples,digest", GOLDEN_REPORTS)
+def test_golden_reports(seed, rank, samples, digest):
+    reports = run_all_checks(schottky_sample(seed, rank), seed=seed, samples=samples)
+    text = "\n".join(r.to_json() for r in reports) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("rank,words", [(2, 4 + 12 + 36), (3, 6 + 30 + 150)])
+@pytest.mark.parametrize("samples", [200, 1000])
+def test_run_all_checks_evaluates_each_word_once(rank, words, samples, monkeypatch):
+    rep = schottky_sample(rank, rank)
+    calls = []
+    evaluate = boundary.sg.evaluate
+
+    def counting(word, rep):
+        calls.append(word)
+        return evaluate(word, rep)
+
+    monkeypatch.setattr(boundary.sg, "evaluate", counting)
+    reports = run_all_checks(rep, seed=rank, samples=samples)
+    assert all(r.samples == samples for r in reports)
+    assert len(calls) == len(set(calls)) <= words
+
+
+def test_rejection_cap_pairing(monkeypatch):
+    # every image coincides, so the pairing check rejects every draw
+    monkeypatch.setattr(boundary, "act", lambda m, xi: BoundaryPoint(1.0))
+    with pytest.raises(BoundaryError, match=r"^pairing_identity: 400 of 400 draws rejected"):
+        run_all_checks(REP, seed=3, samples=4)
+
+
+def test_rejection_cap_step1(monkeypatch):
+    def degenerate(phi, eta, gamma):
+        raise DegenerateConfiguration("always")
+
+    monkeypatch.setattr(boundary, "step1_identity_check", degenerate)
+    with pytest.raises(BoundaryError, match=r"^step1_coboundary_identity: 400 of 400 draws"):
+        run_all_checks(REP, seed=3, samples=4)

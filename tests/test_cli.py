@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import speclab.boundary as boundary
 from speclab.cli import main
 from speclab.spectrum import modular_torus_rep, spectrum
 
@@ -105,6 +106,23 @@ def test_rmin_rejects_samples_below_one(samples, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: n_reps must be >= 1" in captured.err
+
+
+def test_rmin_rejects_zero_samples_given_a_single_word(capsys):
+    # a single word forms no pair, so rmin_test alone would never see --samples
+    assert main(["rmin", "--seed", "3", "--samples", "0", "ab"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: n_reps must be >= 1")
+
+
+def test_cocycle_verify_rejection_cap_is_input_error(monkeypatch, capsys):
+    # every image coincides, so the pairing check rejects every draw
+    monkeypatch.setattr(boundary, "act", lambda m, xi: boundary.BoundaryPoint(1.0))
+    assert main(["cocycle-verify", "--seed", "7", "--samples", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pairing_identity: 300 of 300 draws rejected")
 
 
 def test_scan_command(capsys):

@@ -15,6 +15,7 @@ from speclab.mobius import (
     act_real,
     boundary_derivative,
     classify,
+    disk_matrix,
     fixed_points,
     identity,
     translation_length,
@@ -123,6 +124,20 @@ def test_translation_length_of_powers():
     l1 = translation_length(m)
     for n in (2, 3, 5):
         assert abs(translation_length(m ** n) - n * l1) < 1e-9
+
+
+def test_cached_disk_matrix_is_the_disk_matrix_formula():
+    rng = random.Random(5)
+    for _ in range(20):
+        a, b, c = (rng.uniform(-3, 3) for _ in range(3))
+        a = a if abs(a) > 0.1 else 1.0
+        m = Mat2(a, b, c, (1 + b * c) / a)
+        act(m, BoundaryPoint(0.5))  # fills the cache
+        assert "disk" in vars(m)
+        assert m.disk == disk_matrix(Mat2(*m.entries()))
+    exact = Mat2(Fraction(3, 2), 1, Fraction(1, 2), 1)
+    assert exact.disk == disk_matrix(Mat2(*exact.entries()))
+    assert exact == Mat2(*exact.entries())  # the cache is not part of equality
 
 
 def test_boundary_derivative_identity():
