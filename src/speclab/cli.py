@@ -93,7 +93,7 @@ def cmd_pattern(args) -> int:
     doc = {
         "rep_digest": s.rep_digest,
         "tolerance": _fmt(p.tolerance),
-        "blocks": [[fmt(k.word) for k in block] for block in p.blocks],
+        "blocks": [[fmt(p.classes[i].word) for i in block] for block in p.position_blocks()],
     }
     _out(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

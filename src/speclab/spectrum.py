@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import characters, surface_group as sg
 from .fricke import SamplingFailed, SurfaceRep, schottky_sample
-from .mobius import IsometryClass, classify, translation_length
+from .mobius import EPS, IsometryClass, Mat2, classify, translation_length
 
 
 class SpectrumError(Exception):
@@ -44,20 +47,32 @@ def spectrum(
     tol: float = 1e-9,
     classes=None,
 ) -> LengthSpectrum:
+    """|trace| and translation length of every class, read trace first.
+
+    Above |tr| = 2 (2 + EPS for float reps) the length is 2 acosh(|tr|/2)
+    straight from the product's entries.  Only at |tr| = 2 or below is a
+    Mat2 built and classified: identity and parabolic have length 0, and an
+    elliptic class raises EllipticClassFound."""
     if classes is None:
         classes = sg.enumerate_classes(rep.presentation, maxlen)
+    classes = tuple(classes)
+    exact = all(m.exact() for m in rep.matrices)
+    top = 2 if exact else 2 + EPS
+    acosh = math.acosh
     traces = []
     lengths = []
-    exact = all(m.exact() for m in rep.matrices)
-    for key, m in zip(classes, sg.evaluate_many((key.word for key in classes), rep)):
-        cls = classify(m)
-        if cls is IsometryClass.ELLIPTIC:
-            raise EllipticClassFound(f"class {key} is elliptic (non-discrete rep?)")
-        t = abs(m.tr()) if exact else abs(float(m.tr()))
+    for key, (a, b, c, d) in zip(classes, sg.evaluate_many([k.word for k in classes], rep)):
+        t = abs(a + d) if exact else abs(float(a + d))
+        if t > top:
+            lengths.append(2.0 * acosh(float(t) / 2.0))
+        else:
+            m = Mat2(a, b, c, d)
+            if classify(m) is IsometryClass.ELLIPTIC:
+                raise EllipticClassFound(f"class {key} is elliptic (non-discrete rep?)")
+            lengths.append(translation_length(m))
         traces.append(t)
-        lengths.append(translation_length(m))
     return LengthSpectrum(
-        tuple(classes),
+        classes,
         tuple(traces),
         tuple(lengths),
         rep.digest(),
@@ -69,72 +84,120 @@ def spectrum(
 
 @dataclass(frozen=True)
 class Pattern:
-    """Partition of the class set into equal-length blocks."""
+    """Partition of a class tuple into equal-length blocks.
 
-    blocks: tuple  # tuple of tuples of ConjClassKey
+    The blocks are kept flat, as positions into `classes`: `order` holds
+    every position once, block by block, and block k ends at `ends[k]`.
+    `blocks` names the same blocks by class key."""
+
+    classes: tuple  # of ConjClassKey
+    order: array
+    ends: array
     tolerance: float
 
-    @property
-    def class_set(self):
-        return frozenset(k for b in self.blocks for k in b)
+    @classmethod
+    def from_blocks(cls, classes: tuple, blocks, tolerance: float) -> "Pattern":
+        """A pattern from its blocks, each an iterable of class positions."""
+        order, ends = array("l"), array("l")
+        for block in blocks:
+            order.extend(block)
+            ends.append(len(order))
+        return cls(classes, order, ends, tolerance)
 
-    def block_of(self):
-        out = {}
-        for i, b in enumerate(self.blocks):
-            for k in b:
-                out[k] = i
+    @property
+    def n_blocks(self) -> int:
+        return len(self.ends)
+
+    def position_blocks(self):
+        """Each block's class positions, in block order."""
+        start = 0
+        for end in self.ends:
+            yield self.order[start:end]
+            start = end
+
+    @property
+    def blocks(self) -> tuple:
+        cs = self.classes
+        return tuple(tuple(cs[i] for i in block) for block in self.position_blocks())
+
+    def labels(self) -> array:
+        """Block index of each class, by position."""
+        out = array("l", [0]) * len(self.classes)
+        for label, block in enumerate(self.position_blocks()):
+            for i in block:
+                out[i] = label
         return out
+
+    def block_of(self) -> dict:
+        return dict(zip(self.classes, self.labels()))
+
+
+def _check_tolerance(tol) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise SpectrumError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
 def pattern(s: LengthSpectrum, tol: float | None = None) -> Pattern:
     """Single-linkage clustering at gap tol; exact reps compare |trace| exactly."""
     if tol is None:
         tol = s.tolerance
+    _check_tolerance(tol)
     if s.exact:
         groups: dict = {}
-        for key, t in zip(s.classes, s.traces):
-            groups.setdefault(Fraction(t), []).append(key)
-        items = sorted(groups.items(), key=lambda kv: kv[0])
-        return Pattern(tuple(tuple(v) for _, v in items), 0.0)
-    order = sorted(range(len(s.classes)), key=lambda i: s.lengths[i])
-    blocks = []
-    current = [order[0]] if order else []
-    for prev, nxt in zip(order, order[1:]):
-        if s.lengths[nxt] - s.lengths[prev] <= tol:
-            current.append(nxt)
-        else:
-            blocks.append(tuple(s.classes[i] for i in current))
-            current = [nxt]
-    if current:
-        blocks.append(tuple(s.classes[i] for i in current))
-    return Pattern(tuple(blocks), tol)
+        for i, t in enumerate(s.traces):
+            groups.setdefault(Fraction(t), []).append(i)
+        return Pattern.from_blocks(s.classes, (groups[t] for t in sorted(groups)), 0.0)
+    lengths = s.lengths
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    # a block ends wherever the gap to the next length is not within tol
+    ends = [k for k in range(1, len(order)) if not lengths[order[k]] - lengths[order[k - 1]] <= tol]
+    if order:
+        ends.append(len(order))
+    return Pattern(s.classes, array("l", order), array("l", ends), tol)
+
+
+def _labels_along(p: Pattern, classes: tuple):
+    """p's block labels read in the order of `classes`; ClassSetMismatch
+    when p covers another class set."""
+    labels = p.labels()
+    if p.classes == classes:
+        return labels
+    where = dict(zip(p.classes, labels))
+    if where.keys() != set(classes):
+        raise ClassSetMismatch("patterns cover different class sets")
+    return [where[k] for k in classes]
 
 
 def subrelation(p1: Pattern, p2: Pattern):
     """Does every p1 block sit inside a p2 block?  Violations are pairs that
     p1 relates but p2 separates."""
-    if p1.class_set != p2.class_set:
-        raise ClassSetMismatch("patterns cover different class sets")
-    where = p2.block_of()
+    where = _labels_along(p2, p1.classes)
+    cs = p1.classes
     violations = []
-    for block in p1.blocks:
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                if where[block[i]] != where[block[j]]:
-                    violations.append((block[i], block[j]))
+    for block in p1.position_blocks():
+        if len(block) > 1 and len({where[i] for i in block}) > 1:
+            violations += [
+                (cs[i], cs[j]) for i, j in combinations(block, 2) if where[i] != where[j]
+            ]
     return {"holds": not violations, "violations": violations}
 
 
 def partition_equal(p1: Pattern, p2: Pattern) -> bool:
-    s1 = {frozenset(b) for b in p1.blocks}
-    s2 = {frozenset(b) for b in p2.blocks}
-    return s1 == s2
+    """Same blocks up to order: the two labellings agree up to renaming."""
+    try:
+        where = _labels_along(p2, p1.classes)
+    except ClassSetMismatch:
+        return False
+    pairs = set(zip(p1.labels(), where))
+    return len(pairs) == p1.n_blocks == p2.n_blocks
 
 
 def rmin_pattern(classes, m: int) -> Pattern:
     """Partition by provable character-polynomial equality up to sign."""
+    classes = tuple(classes)
+    position = {key: i for i, key in enumerate(classes)}
     blocks = characters.rmin_blocks(classes, m).values()
-    return Pattern(tuple(tuple(v) for v in blocks), 0.0)
+    return Pattern.from_blocks(classes, (map(position.__getitem__, v) for v in blocks), 0.0)
 
 
 def scan_generic(
@@ -151,10 +214,13 @@ def scan_generic(
     Yields one JSON-ready dict per trial.  R_min must be a sub-relation of
     R_g in every trial; collapsed means the two partitions agree.
     """
+    if m < 2:
+        raise SpectrumError(f"need m >= 2, got {m}")
     if trials < 1:
         raise SpectrumError("trials must be >= 1")
+    _check_tolerance(tol)
     pres = sg.Presentation(genus=1, punctures=m - 1)
-    classes = sg.enumerate_classes(pres, maxlen)
+    classes = tuple(sg.enumerate_classes(pres, maxlen))
     pmin = rmin_pattern(classes, m)
 
     def one_trial(index, rep, trial_seed):
@@ -166,9 +232,10 @@ def scan_generic(
             "seed": trial_seed,
             "rep_digest": s.rep_digest,
             "classes": len(classes),
-            "n_blocks_g": len(pg.blocks),
-            "n_blocks_min": len(pmin.blocks),
-            "collapsed": partition_equal(pmin, pg),
+            "n_blocks_g": pg.n_blocks,
+            "n_blocks_min": pmin.n_blocks,
+            # R_min refines R_g, so the two agree when their block counts do
+            "collapsed": sub["holds"] and pg.n_blocks == pmin.n_blocks,
             "violations": [[str(a), str(b)] for a, b in sub["violations"]],
         }
 
@@ -192,8 +259,6 @@ def scan_generic(
 
 def modular_torus_rep() -> SurfaceRep:
     """The integer punctured-torus point: generators (1 1 / 1 2), (1 -1 / -1 2)."""
-    from .mobius import Mat2
-
     return SurfaceRep.free_rep([Mat2(1, 1, 1, 2), Mat2(1, -1, -1, 2)])
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mobius import Mat2, identity
+from .mobius import Mat2
 
 Word = tuple[int, ...]
 
@@ -233,25 +233,22 @@ def enumerate_classes(p: Presentation, maxlen: int, merge_inverse: bool = False)
 
 def evaluate(w, rep) -> Mat2:
     """Product of generator matrices along the word."""
-    out = identity()
-    for x in w:
-        m = rep.matrix(abs(x))
-        out = out * (m if x > 0 else m.inverse())
-    return out
+    return Mat2(*next(evaluate_many([w], rep)))
 
 
 def evaluate_many(words, rep):
-    """Yield evaluate(w, rep) for each word, in the order given.
+    """Yield the entries (a, b, c, d) of each word's product, in the order given.
 
     The products of the previous word's prefixes are kept on a stack; each
     word reuses the longest prefix it shares with the previous one and costs
-    one multiply per letter after it.  Products are formed left to right from
-    identity(), as in evaluate, so every result is identical to evaluate's."""
+    one 2x2 multiply per letter after it.  Products are formed left to right
+    from the identity (1, 0, 0, 1) with the sums of Mat2.__mul__, so every
+    entry is bit-identical to that chain of Mat2 products."""
     gens = {}
     for k, m in enumerate(rep.matrices, 1):
-        gens[k] = m
-        gens[-k] = m.inverse()
-    stack = [identity()]
+        gens[k] = m.entries()
+        gens[-k] = m.inverse().entries()
+    stack = [(1, 0, 0, 1)]
     prev: Word = ()
     for w in words:
         n = 0
@@ -260,12 +257,13 @@ def evaluate_many(words, rep):
                 break
             n += 1
         del stack[n + 1 :]
-        top = stack[-1]
+        a, b, c, d = stack[-1]
         for x in w[n:]:
-            top = top * gens[x]
-            stack.append(top)
+            p, q, r, s = gens[x]
+            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+            stack.append((a, b, c, d))
         prev = w
-        yield top
+        yield stack[-1]
 
 
 # -- text serialization ------------------------------------------------------

@@ -267,6 +267,32 @@ def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys):
         assert err.startswith("error: ") and "config key" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf"])
+@pytest.mark.parametrize("command", ["pattern", "compare", "scan"])
+def test_bad_tolerance_is_input_error(command, tol, tmp_path, capsys):
+    rep_path = tmp_path / "rep.json"
+    assert main(["sample", "--seed", "1", "--output", str(rep_path)]) == 0
+    argv = {
+        "pattern": ["pattern", "--seed", "1"],
+        "compare": ["compare", "--rep-file", str(rep_path), "--other", str(rep_path)],
+        "scan": ["scan", "--seed", "1", "--trials", "2"],
+    }[command] + ["--maxlen", "3"]
+    assert main(argv + ["--tolerance", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: tolerance")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance": float(tol)}))  # NaN / Infinity literals
+    assert main(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: tolerance")
+
+
+def test_scan_rank_below_two_is_input_error(capsys):
+    assert main(["scan", "--seed", "1", "--rank", "1", "--trials", "1", "--maxlen", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need m >= 2, got 1\n"
+
+
 def test_format_is_a_spectrum_option_only(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pattern", "--seed", "4", "--maxlen", "2", "--format", "csv"])
@@ -300,6 +326,14 @@ GOLDEN_STDOUT = [
         "1ee5f580265c4510a5b581e38a3d0deaf2235780df75d632d1229e6768a86bf4",
     ),
     (
+        ["scan", "--seed", "1", "--trials", "20", "--maxlen", "8", "--arithmetic-point"],
+        "f7ff6f1af890a0cf98ffe6fe3570a10ada781a10ad015babaa30968b839ea89a",
+    ),
+    (
+        ["scan", "--seed", "11", "--rank", "3", "--trials", "5", "--maxlen", "5"],
+        "370e9dd62d2eaf9fb76de2b4e9f629e81e72e11b52e1e22fef136c757a4de46a",
+    ),
+    (
         ["cocycle-verify", "--seed", "7", "--samples", "200"],
         "195b3cb3e14a4bedd1a6a9795e15f297a766340b606a04b9306ceb84c02c854e",
     ),
@@ -318,12 +352,31 @@ GOLDEN_STDOUT = [
         "spectrum-csv",
         "pattern",
         "scan",
+        "scan-bench-size",
+        "scan-rank3",
         "cocycle-verify",
         "cocycle-verify-rank3",
     ],
 )
 def test_golden_stdout(argv, digest, capsys):
     assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "tolerance,code,digest",
+    [
+        ("1e-9", 0, "c37ab7285c76568239bbd1fa8ee2165027276aa052aa8c0ab8228c7aef88a92f"),
+        ("0.05", 2, "4cf8b93c89ccdb99cb94b11ffd75d8c04d7e6e55322957a2ff83a43522cc833b"),
+    ],
+)
+def test_golden_compare_stdout(tolerance, code, digest, tmp_path, capsys):
+    paths = []
+    for seed in (5, 9):
+        paths.append(str(tmp_path / f"rep{seed}.json"))
+        assert main(["sample", "--seed", str(seed), "--output", paths[-1]]) == 0
+    argv = ["compare", "--rep-file", paths[0], "--other", paths[1], "--maxlen", "5"]
+    assert main(argv + ["--tolerance", tolerance]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

@@ -1,12 +1,16 @@
 import math
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from speclab.fricke import SamplingFailed, punctured_torus_sample, schottky_sample
 from speclab.spectrum import (
     ClassSetMismatch,
+    EllipticClassFound,
     LengthSpectrum,
+    Pattern,
     SpectrumError,
     modular_torus_rep,
     partition_equal,
@@ -19,7 +23,8 @@ from speclab.spectrum import (
 )
 from speclab.characters import RminVerdict, rmin_test
 import speclab.surface_group as sg
-from speclab.mobius import translation_length
+from speclab.fricke import SurfaceRep
+from speclab.mobius import EPS, IsometryClass, Mat2, classify, translation_length
 
 F2 = sg.Presentation(genus=1, punctures=1)
 
@@ -68,20 +73,185 @@ def test_spectrum_powers_scale_lengths():
     assert abs(by_key["aaa"] - 3 * by_key["a"]) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "rep,maxlen", [(schottky_sample(6, 3), 5), (modular_torus_rep(), 7)], ids=["float", "exact"]
-)
-def test_spectrum_matches_reference_built_with_evaluate(rep, maxlen):
-    classes = sg.enumerate_classes(rep.presentation, maxlen)
-    traces, lengths = [], []
-    for key in classes:
+def _reference_rows(rep, maxlen):
+    """(trace, length) per class from classify/translation_length on each
+    class's Mat2; None where the class is elliptic."""
+    exact = all(m.exact() for m in rep.matrices)
+    rows = []
+    for key in sg.enumerate_classes(rep.presentation, maxlen):
         m = sg.evaluate(key.word, rep)
-        traces.append(abs(m.tr()) if m.exact() else abs(float(m.tr())))
-        lengths.append(translation_length(m))
+        if classify(m) is IsometryClass.ELLIPTIC:
+            rows.append(None)
+            continue
+        rows.append((abs(m.tr()) if exact else abs(float(m.tr())), translation_length(m)))
+    return rows
+
+
+def _near_parabolic_rep():
+    # Gamma(2) with its first parabolic generator pushed off |tr| = 2 by about
+    # 1e-10: a and aB then have float |tr| within EPS above and below 2
+    x = 1.0 + 1e-5
+    return SurfaceRep.free_rep([Mat2(x, 2.0, 0.0, 1.0 / x), Mat2(1.0, 0.0, 2.0, 1.0)])
+
+
+KERNEL_REPS = {
+    "float": (schottky_sample(6, 3), 5),
+    "exact": (modular_torus_rep(), 7),
+    "float-near-2": (_near_parabolic_rep(), 4),
+    "exact-identity": (SurfaceRep.free_rep([Mat2(-1, 0, 0, -1), Mat2(2, 1, 1, 1)]), 4),
+    "float-identity": (SurfaceRep.free_rep([Mat2(1.0, 0.0, 0.0, 1.0), Mat2(2.0, 1.0, 1.0, 1.0)]), 4),
+}
+
+
+@pytest.mark.parametrize("rep,maxlen", list(KERNEL_REPS.values()), ids=list(KERNEL_REPS))
+def test_spectrum_matches_reference_built_with_evaluate(rep, maxlen):
+    rows = _reference_rows(rep, maxlen)
     s = spectrum(rep, maxlen)
-    assert s.classes == tuple(classes)
-    assert s.traces == tuple(traces)
-    assert s.lengths == tuple(lengths)
+    assert s.classes == tuple(sg.enumerate_classes(rep.presentation, maxlen))
+    assert list(zip(s.traces, s.lengths)) == rows
+
+
+def test_spectrum_kernel_branches_are_reached():
+    s = spectrum(modular_torus_rep(), 4)
+    by_key = {str(k): (t, l) for k, t, l in s.as_rows()}
+    assert by_key["abAB"] == (2, 0.0) and type(by_key["abAB"][0]) is int
+    s = spectrum(_near_parabolic_rep(), 4)
+    by_key = {str(k): (t, l) for k, t, l in s.as_rows()}
+    assert 2 < by_key["a"][0] <= 2 + EPS and by_key["a"][1] == 0.0
+    assert 2 - EPS <= by_key["aB"][0] < 2 and by_key["aB"][1] == 0.0
+    for name in ("exact-identity", "float-identity"):
+        s = spectrum(*KERNEL_REPS[name])
+        by_key = {str(k): (t, l) for k, t, l in s.as_rows()}
+        assert by_key["a"] == by_key["aa"] == (2, 0.0)
+        assert by_key["b"][1] == by_key["ab"][1] > 0
+
+
+@pytest.mark.parametrize("num", [Fraction, float], ids=["exact", "float"])
+def test_spectrum_raises_on_elliptic_product(num):
+    # both generators hyperbolic (tr 5/2 and 3), their product elliptic (tr 3/2)
+    a = Mat2(*map(num, (2, 0, 0, Fraction(1, 2))))
+    b = Mat2(*map(num, (0, -1, 1, 3)))
+    rep = SurfaceRep.free_rep([a, b])
+    rows = _reference_rows(rep, 2)
+    assert None in rows
+    with pytest.raises(EllipticClassFound, match="class ab is elliptic"):
+        spectrum(rep, 2)
+
+
+def _subrelation_by_keys(p1, p2):
+    """The key-based sub-relation test, as it was before patterns held
+    positions: the reference for subrelation."""
+    if frozenset(k for b in p1.blocks for k in b) != frozenset(k for b in p2.blocks for k in b):
+        raise ClassSetMismatch("patterns cover different class sets")
+    where = {k: i for i, b in enumerate(p2.blocks) for k in b}
+    violations = []
+    for block in p1.blocks:
+        for i in range(len(block)):
+            for j in range(i + 1, len(block)):
+                if where[block[i]] != where[block[j]]:
+                    violations.append((block[i], block[j]))
+    return {"holds": not violations, "violations": violations}
+
+
+def _partition_equal_by_keys(p1, p2):
+    return {frozenset(b) for b in p1.blocks} == {frozenset(b) for b in p2.blocks}
+
+
+def _random_pattern(rng, classes, blocks):
+    order = list(range(len(classes)))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, len(order)), blocks - 1))
+    return Pattern.from_blocks(
+        classes, [order[i:j] for i, j in zip([0] + cuts, cuts + [len(order)])], 0.0
+    )
+
+
+def _coarsened(rng, p):
+    """p with some of its blocks merged, so p is a sub-relation of it."""
+    merged = {}
+    for block in p.position_blocks():
+        merged.setdefault(rng.randrange(max(1, p.n_blocks // 2)), []).extend(block)
+    return Pattern.from_blocks(p.classes, merged.values(), 0.0)
+
+
+def _reordered(rng, p):
+    """The same partition over a shuffled copy of the class tuple."""
+    perm = list(range(len(p.classes)))
+    rng.shuffle(perm)
+    new_pos = {old: new for new, old in enumerate(perm)}
+    classes = tuple(p.classes[old] for old in perm)
+    return Pattern.from_blocks(
+        classes, ([new_pos[i] for i in b] for b in p.position_blocks()), 0.0
+    )
+
+
+def test_position_based_subrelation_matches_key_based():
+    rng = random.Random(20260824)
+    classes = tuple(sg.enumerate_classes(F2, 4))
+    seen_violations = seen_holds = 0
+    for _ in range(300):
+        p1 = _random_pattern(rng, classes, rng.randint(1, len(classes)))
+        p2 = rng.choice(
+            [
+                _random_pattern(rng, classes, rng.randint(1, len(classes))),
+                _coarsened(rng, p1),
+                _reordered(rng, p1),
+                _reordered(rng, _coarsened(rng, p1)),
+                Pattern.from_blocks(classes, reversed(list(p1.position_blocks())), 0.0),
+            ]
+        )
+        for a, b in ((p1, p2), (p2, p1)):
+            got = subrelation(a, b)
+            assert got == _subrelation_by_keys(a, b)
+            assert partition_equal(a, b) is _partition_equal_by_keys(a, b)
+            seen_violations += bool(got["violations"])
+            seen_holds += got["holds"]
+    assert seen_violations > 100 and seen_holds > 100
+
+
+def test_position_based_subrelation_class_set_mismatch():
+    rng = random.Random(7)
+    classes = tuple(sg.enumerate_classes(F2, 3))
+    p = _random_pattern(rng, classes, 5)
+    fewer = _random_pattern(rng, classes[:-1], 5)
+    other = _random_pattern(rng, classes[:-1] + (sg.canonical_class((1, 1, 1, 1), F2),), 5)
+    for q in (fewer, other):
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(ClassSetMismatch):
+                _subrelation_by_keys(a, b)
+            with pytest.raises(ClassSetMismatch):
+                subrelation(a, b)
+            assert partition_equal(a, b) is _partition_equal_by_keys(a, b) is False
+
+
+def test_pattern_blocks_name_positions():
+    s = spectrum(schottky_sample(3, 2), 4)
+    p = pattern(s)
+    assert p.classes is s.classes
+    assert sorted(p.order) == list(range(len(s.classes)))
+    blocks = [tuple(b) for b in p.position_blocks()]
+    assert len(blocks) == p.n_blocks and sum(map(len, blocks)) == len(s.classes)
+    assert p.blocks == tuple(tuple(s.classes[i] for i in b) for b in blocks)
+    where = p.block_of()
+    assert all(where[k] == i for i, b in enumerate(p.blocks) for k in b)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
+def test_pattern_rejects_bad_tolerance(tol):
+    s = spectrum(schottky_sample(3, 2), 2)
+    with pytest.raises(SpectrumError, match="tolerance"):
+        pattern(s, tol)
+    with pytest.raises(SpectrumError, match="tolerance"):
+        next(scan_generic(3, 1, maxlen=2, tol=tol))
+
+
+def test_scan_generic_checks_rank_before_any_work(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated classes for a rank below 2")
+
+    monkeypatch.setattr(sg, "enumerate_classes", no_enumeration)
+    with pytest.raises(SpectrumError, match="need m >= 2"):
+        next(scan_generic(1, 1, maxlen=3, m=1))
 
 
 def test_subrelation_reflexive():

@@ -217,6 +217,16 @@ def _closed_genus_two_rep():
     return SurfaceRep(Presentation(2, 0), schottky_sample(5, 4).matrices[:4])
 
 
+def _chain(w, rep):
+    """Entries of the left-to-right Mat2.__mul__ chain from the identity:
+    the oracle of evaluate_many, which does not call Mat2.__mul__."""
+    out = identity()
+    for x in w:
+        m = rep.matrix(abs(x))
+        out = out * (m if x > 0 else m.inverse())
+    return out.entries()
+
+
 @pytest.mark.parametrize(
     "p,maxlen,rep",
     [
@@ -231,8 +241,9 @@ def _closed_genus_two_rep():
 def test_evaluate_many_matches_evaluate_on_class_lists(p, maxlen, rep, merge_inverse):
     for L in range(1, maxlen + 1):
         words = [k.word for k in enumerate_classes(p, L, merge_inverse=merge_inverse)]
-        # exact Mat2 equality: the same products in the same order
-        assert list(evaluate_many(words, rep)) == [evaluate(w, rep) for w in words]
+        # exact tuple equality: the same products in the same order
+        assert list(evaluate_many(words, rep)) == [_chain(w, rep) for w in words]
+    assert [evaluate(w, rep).entries() for w in words] == [_chain(w, rep) for w in words]
 
 
 @pytest.mark.parametrize("rep", [schottky_sample(3, 2), modular_torus_rep()], ids=["float", "exact"])
@@ -241,31 +252,52 @@ def test_evaluate_many_any_order(rep):
     rng = random.Random(5)
     shuffled = rng.choices(words, k=2 * len(words))  # repeats, and no shared order
     for ws in (shuffled, [(), (1, 2), (), (1, 2), (1,), ()], [(1, -2, 1)], []):
-        assert list(evaluate_many(ws, rep)) == [evaluate(w, rep) for w in ws]
+        assert list(evaluate_many(ws, rep)) == [_chain(w, rep) for w in ws]
+
+
+class _Counted:
+    """A number that counts the scalar products it takes part in."""
+
+    products = 0
+
+    def __init__(self, x):
+        self.x = x
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.x * getattr(other, "x", other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _Counted(self.x + getattr(other, "x", other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Counted(-self.x)
 
 
 def test_evaluate_many_multiplies_once_per_letter_after_shared_prefix(monkeypatch):
     rep = schottky_sample(1, 2)
+    counted = SurfaceRep(
+        rep.presentation, tuple(Mat2(*map(_Counted, m.entries())) for m in rep.matrices)
+    )
     words = [k.word for k in enumerate_classes(F2, 8)]
-    calls = []
-    mul = Mat2.__mul__
-
-    def counted(x, y):
-        calls.append(1)
-        return mul(x, y)
-
-    monkeypatch.setattr(Mat2, "__mul__", counted)
-    list(evaluate_many(words, rep))
+    monkeypatch.setattr(_Counted, "products", 0)
+    out = [tuple(x.x for x in e) for e in evaluate_many(words, counted)]
     new_letters = sum(
         len(w) - len(os.path.commonprefix([v, w])) for v, w in zip([()] + words, words)
     )
-    assert len(calls) == new_letters == 3097  # evaluate: one per letter, 10112
+    # one 2x2 multiply (8 scalar products) per letter after the shared prefix
+    assert _Counted.products == 8 * new_letters == 8 * 3097  # evaluate: one per letter, 10112
+    assert out == list(evaluate_many(words, rep))
 
 
 def test_evaluate_many_is_lazy():
     out = evaluate_many(iter([(1,), (1, 2)]), modular_torus_rep())
-    assert next(out) == Mat2(1, 1, 1, 2)
-    assert next(out) == Mat2(1, 1, 1, 2) * Mat2(1, -1, -1, 2)
+    assert next(out) == (1, 1, 1, 2)
+    assert next(out) == (Mat2(1, 1, 1, 2) * Mat2(1, -1, -1, 2)).entries()
 
 
 def test_word_text_roundtrip():
