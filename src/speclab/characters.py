@@ -15,12 +15,33 @@ t_S stands for tr of the ascending product of the generators in S.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import surface_group as sg
 from .mobius import Mat2
 
-Monomial = tuple[tuple[int, int], ...]  # ((mask, exponent), ...) sorted by mask
+# A monomial is one int: the exponent of t_S sits in the 32-bit field at bit
+# 32 (S - 1).  A word's polynomial has degree at most the word's length, so
+# exponents stay far below 2^32, fields never carry, and a product of
+# monomials is their sum.
+Monomial = int
+_FIELD = 32
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+def _factors(mono: Monomial) -> tuple[tuple[int, int], ...]:
+    """((mask, exponent), ...) of a monomial, ascending by mask."""
+    out = []
+    mask = 1
+    while mono:
+        e = mono & _FIELD_MASK
+        if e:
+            out.append((mask, e))
+        mono >>= _FIELD
+        mask += 1
+    return tuple(out)
 
 
 def subset_name(mask: int) -> str:
@@ -38,11 +59,11 @@ class TracePoly:
 
     @classmethod
     def const(cls, c: int) -> "TracePoly":
-        return cls({(): c})
+        return cls({0: c})
 
     @classmethod
     def var(cls, mask: int) -> "TracePoly":
-        return cls({((mask, 1),): 1})
+        return cls({1 << (_FIELD * (mask - 1)): 1})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TracePoly) and self.terms == other.terms
@@ -69,44 +90,41 @@ class TracePoly:
         out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                merged: dict[int, int] = {}
-                for mask, e in m1 + m2:
-                    merged[mask] = merged.get(mask, 0) + e
-                key = tuple(sorted(merged.items()))
+                key = m1 + m2
                 out[key] = out.get(key, 0) + c1 * c2
         return TracePoly(out)
 
     def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
+        return max((sum(e for _, e in _factors(m)) for m in self.terms), default=0)
 
     def evaluate(self, char_values: dict[int, object]):
         """Substitute numeric character values keyed by subset bitmask."""
         total = 0
         for mono, coeff in self.terms.items():
             v = coeff
-            for mask, e in mono:
+            for mask, e in _factors(mono):
                 v *= char_values[mask] ** e
             total += v
         return total
 
-    def _sorted_terms(self):
-        def mono_key(m):
-            return (sum(e for _, e in m), m)
-        return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]), reverse=True)
-
     def text(self) -> str:
-        """Canonical text form, terms in graded order, bit-exact."""
+        """Canonical text form, terms in graded order, bit-exact: by total
+        degree, then by the factor tuples, both descending."""
         if not self.terms:
             return "0"
+        terms = []
+        for mono, coeff in self.terms.items():
+            factors = _factors(mono)
+            terms.append((sum(e for _, e in factors), factors, coeff))
+        terms.sort(reverse=True)
         parts = []
-        for mono, coeff in self._sorted_terms():
+        for _, factors, coeff in terms:
             sign = "+" if coeff >= 0 else "-"
-            factors = []
-            for mask, e in mono:
-                factors.append(subset_name(mask) + (f"^{e}" if e > 1 else ""))
             body = str(abs(coeff))
             if factors:
-                body += "*" + "*".join(factors)
+                body += "*" + "*".join(
+                    subset_name(mask) + (f"^{e}" if e > 1 else "") for mask, e in factors
+                )
             parts.append(f"{sign}{body}")
         return " ".join(parts)
 
@@ -152,7 +170,7 @@ class _Rewriter:
         self.memo: dict[sg.Word, TracePoly] = {}
 
     def trace(self, w) -> TracePoly:
-        w = sg.cyclic_reduce(sg.free_reduce(w))
+        w = sg.cyclic_reduce(w)
         if any(abs(x) > self.m for x in w):
             raise ValueError(f"word uses generators beyond rank {self.m}")
         return self._trace_reduced(w)
@@ -167,7 +185,7 @@ class _Rewriter:
         return result
 
     def _child(self, parent_measure, w) -> TracePoly:
-        w = sg.cyclic_reduce(sg.free_reduce(w))
+        w = sg.cyclic_reduce(w)
         assert _measure(w) < parent_measure, (w, parent_measure)
         return self._trace_reduced(w)
 
@@ -304,8 +322,8 @@ def rmin_key(p: TracePoly) -> tuple:
     """The one R_min key: P and -P share it, and nothing else does.
 
     Z[t_S] is an integral domain, so P1^2 = P2^2 exactly when P1 = +-P2; the
-    key is the sorted term tuple of P, negated when its first coefficient is
-    negative."""
+    key is the term tuple of P sorted by monomial, negated when its first
+    coefficient is negative."""
     terms = sorted(p.terms.items())
     if terms and terms[0][1] < 0:
         return tuple((mono, -c) for mono, c in terms)
@@ -345,21 +363,30 @@ def rmin_test(w1, w2, m: int, seed: int = 0, n_reps: int = 16) -> RminVerdict:
 
 def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     """Partition classes by provable R_min equality; flag numeric-only
-    coincidences (equal |tr| at every sampled rep, distinct as polynomials)."""
+    coincidences (equal |tr| at every sampled rep, distinct as polynomials).
+
+    A block's fingerprint is |tr| of its first word at n_reps seeded exact
+    reps: tr rho(w) = P_w(characters of rho) exactly, so this is |P| there
+    for the block's key +-P.  Each rep is evaluated only on the blocks whose
+    fingerprint so far equals another block's."""
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     blocks = rmin_blocks(classes, m)
     partition = [tuple(v) for v in blocks.values()]
-    # numeric fingerprints across blocks; a key is +-P, so |P| is read off it
     rng = random.Random(seed)
     reps = [random_exact_rep(m, rng) for _ in range(n_reps)]
-    char_sets = [character_values(r, m) for r in reps]
-    fingerprints: dict[tuple, list[tuple]] = {}
-    for k in blocks:
-        poly = TracePoly(dict(k))
-        fp = tuple(abs(poly.evaluate(cv)) for cv in char_sets)
-        fingerprints.setdefault(fp, []).append(k)
-    flagged = []
-    for group in fingerprints.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                flagged.append((blocks[group[i]][0], blocks[group[j]][0]))
+    words = [block[0].word for block in partition]
+    fingerprints = [()] * len(words)
+    live = range(len(words))  # ascending block positions
+    for rep in reps:
+        entries = sg.evaluate_many([words[i] for i in live], rep)
+        for i, (a, _, _, d) in zip(live, entries):
+            fingerprints[i] += (abs(a + d),)
+        seen = Counter(fingerprints[i] for i in live)
+        live = [i for i in live if seen[fingerprints[i]] > 1]
+    # live is in block order, so groups come in the order of their first block
+    groups: dict[tuple, list] = {}
+    for i in live:
+        groups.setdefault(fingerprints[i], []).append(partition[i][0])
+    flagged = [pair for group in groups.values() for pair in combinations(group, 2)]
     return partition, flagged

@@ -52,7 +52,9 @@ def spectrum(
     Above |tr| = 2 (2 + EPS for float reps) the length is 2 acosh(|tr|/2)
     straight from the product's entries.  Only at |tr| = 2 or below is a
     Mat2 built and classified: identity and parabolic have length 0, and an
-    elliptic class raises EllipticClassFound."""
+    elliptic class raises EllipticClassFound.  A negative or non-finite tol
+    raises SpectrumError before any class is enumerated."""
+    _check_tolerance(tol)
     if classes is None:
         classes = sg.enumerate_classes(rep.presentation, maxlen)
     classes = tuple(classes)

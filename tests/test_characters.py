@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from speclab.characters import (
     RminVerdict,
     TracePoly,
     _canonical_trace_key,
+    _factors,
     basis_word,
     character_values,
     eval_trace_poly,
@@ -244,3 +246,65 @@ def test_no_sign_opposite_trace_polynomials(m, maxlen):
     twos = {mask: 2 for mask in range(1, 1 << m)}
     assert all(p.evaluate(twos) == 2 for p in polys)
     assert not any(-p in polys for p in polys)
+
+
+# -- packed monomials and trace fingerprints -----------------------------------
+
+def test_monomial_product_adds_exponent_fields():
+    for m in (2, 3):
+        masks = range(1, 1 << m)
+        rng = random.Random(m)
+        for _ in range(50):
+            exps = {mask: rng.randint(0, 9) for mask in masks}
+            p = TracePoly.const(1)
+            for mask, e in exps.items():
+                for _ in range(e):
+                    p = p * TracePoly.var(mask)
+            (mono,) = p.terms
+            assert _factors(mono) == tuple((mask, e) for mask, e in exps.items() if e)
+            assert p.total_degree() == sum(exps.values())
+
+
+@pytest.mark.parametrize("n_reps", [0, -1])
+def test_rmin_pairs_rejects_fewer_than_one_rep(n_reps):
+    with pytest.raises(ValueError, match="n_reps must be >= 1"):
+        rmin_pairs(sg.enumerate_classes(F2, 4), 2, n_reps=n_reps)
+
+
+# sha256 of the partition and the ordered flagged pairs, seed 1
+@pytest.mark.parametrize(
+    "m,maxlen,n_reps,n_flagged,digest",
+    [
+        (2, 9, 16, 0, "34879add78c3ddd624584895712d3d96d31d0626d88da7a278f0f70c1ec7f3ec"),
+        (3, 6, 16, 0, "c75686ec3811c22e40ec2b378fb547a62b98c04032201241185c70cb77a05036"),
+        (3, 6, 2, 39, "5d5d3d6f7c9bdf0463340efa8626d48184937c98a5a94cc6e199ee10688866ae"),
+    ],
+)
+def test_rmin_pairs_golden(m, maxlen, n_reps, n_flagged, digest):
+    classes = sg.enumerate_classes(sg.Presentation(1, m - 1), maxlen)
+    partition, flagged = rmin_pairs(classes, m, seed=1, n_reps=n_reps)
+    text = "".join(" ".join(map(str, b)) + "\n" for b in partition)
+    text += "".join(f"flagged {a} {b}\n" for a, b in flagged)
+    assert len(flagged) == n_flagged
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _evaluated_flags(partition, m, seed, n_reps):
+    """Oracle: evaluate +-P of every block at every seeded rep, group blocks
+    by the |values| in first-seen order, flag each pair inside a group."""
+    rng = random.Random(seed)
+    char_sets = [character_values(random_exact_rep(m, rng), m) for _ in range(n_reps)]
+    groups = {}
+    for block in partition:
+        poly = TracePoly(dict(rmin_key(trace_poly(block[0].word, m))))
+        fp = tuple(abs(poly.evaluate(cv)) for cv in char_sets)
+        groups.setdefault(fp, []).append(block[0])
+    return [(g[i], g[j]) for g in groups.values() for i in range(len(g)) for j in range(i + 1, len(g))]
+
+
+@pytest.mark.parametrize("m,maxlen", [(2, 7), (3, 5)])
+def test_trace_fingerprint_flags_match_polynomial_evaluation(m, maxlen):
+    classes = sg.enumerate_classes(sg.Presentation(1, m - 1), maxlen)
+    for seed, n_reps in ((1, 16), (3, 1), (3, 2), (5, 3)):
+        partition, flagged = rmin_pairs(classes, m, seed=seed, n_reps=n_reps)
+        assert flagged == _evaluated_flags(partition, m, seed, n_reps)

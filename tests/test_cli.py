@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import speclab.boundary as boundary
+import speclab.surface_group as sg
 from speclab.cli import main
 from speclab.spectrum import modular_torus_rep, spectrum
 
@@ -269,9 +270,11 @@ def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf"])
 @pytest.mark.parametrize("command", ["pattern", "compare", "scan"])
-def test_bad_tolerance_is_input_error(command, tol, tmp_path, capsys):
+def test_bad_tolerance_is_input_error(command, tol, tmp_path, capsys, monkeypatch):
     rep_path = tmp_path / "rep.json"
     assert main(["sample", "--seed", "1", "--output", str(rep_path)]) == 0
+    enumerated = []
+    monkeypatch.setattr(sg, "enumerate_classes", lambda *a, **k: enumerated.append(a))
     argv = {
         "pattern": ["pattern", "--seed", "1"],
         "compare": ["compare", "--rep-file", str(rep_path), "--other", str(rep_path)],
@@ -285,6 +288,7 @@ def test_bad_tolerance_is_input_error(command, tol, tmp_path, capsys):
     assert main(argv + ["--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: tolerance")
+    assert enumerated == []  # rejected before any spectrum is computed
 
 
 def test_scan_rank_below_two_is_input_error(capsys):
@@ -341,6 +345,22 @@ GOLDEN_STDOUT = [
         ["cocycle-verify", "--seed", "11", "--rank", "3", "--samples", "200"],
         "fcbb08984cb238284ee4b2bbacbce2640ff8b18b66fb9aafcf54930a6092a565",
     ),
+    (
+        ["tracepoly", "--word", "abAB"],
+        "adc516d075b659dabce9369b2370ddcaa3d435c5c1e485e1d8783be7c6a98d0d",
+    ),
+    (
+        ["tracepoly", "--word", "aaBBabAb"],
+        "429ab76bcf9689c404dace8136394ea27fe1a322308a11464052ec38e451dbf4",
+    ),
+    (
+        ["tracepoly", "--rank", "3", "--word", "abcabc"],
+        "2418fae9d147ae74aa7b634472a325b33b07544e6967d760477a477a48016f7a",
+    ),
+    (
+        ["rmin", "--seed", "1", "ab", "ba", "aB"],
+        "214d171e2d2ca68b7829aedfc2685259bd49458d1a34408f2c554ad95a57ad5b",
+    ),
 ]
 
 
@@ -356,6 +376,10 @@ GOLDEN_STDOUT = [
         "scan-rank3",
         "cocycle-verify",
         "cocycle-verify-rank3",
+        "tracepoly-commutator",
+        "tracepoly-squares",
+        "tracepoly-rank3",
+        "rmin",
     ],
 )
 def test_golden_stdout(argv, digest, capsys):

@@ -240,6 +240,8 @@ def test_pattern_blocks_name_positions():
 def test_pattern_rejects_bad_tolerance(tol):
     s = spectrum(schottky_sample(3, 2), 2)
     with pytest.raises(SpectrumError, match="tolerance"):
+        spectrum(schottky_sample(3, 2), 2, tol)
+    with pytest.raises(SpectrumError, match="tolerance"):
         pattern(s, tol)
     with pytest.raises(SpectrumError, match="tolerance"):
         next(scan_generic(3, 1, maxlen=2, tol=tol))
