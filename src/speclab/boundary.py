@@ -83,7 +83,7 @@ def recover_cocycle_from_C(
 
 def _hyperbolic_fixed_points(gamma: Mat2):
     try:
-        return fixed_points(gamma)
+        return gamma.fixed
     except NotHyperbolic:
         raise DegenerateConfiguration("gamma must be hyperbolic") from None
 
@@ -256,7 +256,7 @@ class _WordMemo:
         |B(g^-1, (g^-1)+) - B(g, g+)| of a hyperbolic g."""
         hit = self._pole_defects.get(g.word)
         if hit is None:
-            gp, gm = fixed_points(g.m)
+            gp, gm = g.m.fixed
             gi = g.m.inverse()
             gip, _ = fixed_points(gi)
             hit = self._pole_defects[g.word] = (

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import boundary, characters, fricke, surface_group as sg
@@ -32,6 +33,15 @@ EXIT_VERIFICATION_FAILED = 2
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _indented_list(items: list[str], indent: str) -> str:
+    """JSON text of a list of already encoded items, laid out as json.dumps
+    lays it out with indent=2 at the nesting level whose indent is given."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def _out(args, text: str) -> None:
@@ -68,19 +78,12 @@ def cmd_spectrum(args) -> int:
     if args.format == "csv":
         _out(args, rows_to_csv(s.as_rows()))
     else:
+        # the text of json.dumps({"class", "length", "trace"}, sort_keys=True)
         fmt = sg.word_formatter(rep.presentation)
-        lines = []
-        for key, t, l in s.as_rows():
-            lines.append(
-                json.dumps(
-                    {
-                        "class": fmt(key.word),
-                        "trace": _fmt(t),
-                        "length": _fmt(l),
-                    },
-                    sort_keys=True,
-                )
-            )
+        lines = [
+            f'{{"class": {_json_str(fmt(key.word))}, "length": "{_fmt(l)}", "trace": "{_fmt(t)}"}}'
+            for key, t, l in zip(s.classes, s.traces, s.lengths)
+        ]
         _out(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -90,12 +93,20 @@ def cmd_pattern(args) -> int:
     s = length_spectrum(rep, args.maxlen, args.tolerance)
     p = length_pattern(s)
     fmt = sg.word_formatter(rep.presentation)
-    doc = {
-        "rep_digest": s.rep_digest,
-        "tolerance": _fmt(p.tolerance),
-        "blocks": [[fmt(p.classes[i].word) for i in block] for block in p.position_blocks()],
-    }
-    _out(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    cs = p.classes
+    blocks = [
+        _indented_list([_json_str(fmt(cs[i].word)) for i in block], "    ")
+        for block in p.position_blocks()
+    ]
+    digest, tolerance = s.rep_digest, _fmt(p.tolerance)
+    del s, p, cs  # the spectrum is freed before the output text is built
+    # the text of json.dumps({"blocks", "rep_digest", "tolerance"}, indent=2, sort_keys=True)
+    _out(
+        args,
+        f'{{\n  "blocks": {_indented_list(blocks, "  ")},\n'
+        f'  "rep_digest": {_json_str(digest)},\n'
+        f'  "tolerance": {_json_str(tolerance)}\n}}\n',
+    )
     return EXIT_OK
 
 

@@ -104,6 +104,13 @@ class Mat2:
         element acting on many boundary points is conjugated once."""
         return disk_matrix(self)
 
+    @cached_property
+    def fixed(self) -> tuple[BoundaryPoint, BoundaryPoint]:
+        """`fixed_points(self)`, computed on first use and kept, so an element
+        drawn many times is classified and solved once.  NotHyperbolic is
+        raised again on every use."""
+        return fixed_points(self)
+
     def __pow__(self, n: int) -> "Mat2":
         if n < 0:
             return self.inverse() ** (-n)

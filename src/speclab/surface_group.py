@@ -185,24 +185,35 @@ def _necklaces(rank: int, maxlen: int) -> list[Word]:
     Ruskey, Sawada, Serra & Miers, J. Algorithms 37, 2000) runs over letter
     indices in letter order, is cut wherever a letter follows its inverse,
     and keeps a prenecklace of length n whose longest Lyndon prefix p
-    divides n and whose last letter is not the inverse of its first."""
+    divides n and whose last letter is not the inverse of its first.
+
+    The last letter is chosen inside its parent call, with no further
+    recursion level: repeating a[n - 1 - p] keeps the Lyndon prefix p, so
+    it is allowed only when p divides n, and any larger letter makes the
+    whole word its Lyndon prefix, which always divides n.  Length 1 is the
+    2m one-letter words."""
     letters = [x for k in range(1, rank + 1) for x in (k, -k)]  # index j ^ 1 is the inverse
-    out: list[Word] = []
-    for n in range(1, maxlen + 1):
+    k = len(letters)
+    out: list[Word] = [(x,) for x in letters] if maxlen >= 1 else []
+    for n in range(2, maxlen + 1):
         a = [0] * n
+        last = n - 1
 
         def rec(t: int, p: int) -> None:
-            if t == n:
-                if n % p == 0 and a[-1] != a[0] ^ 1:
-                    out.append(tuple(letters[j] for j in a))
-                return
             lo, cut = a[t - p], a[t - 1] ^ 1
-            for j in range(lo, len(letters)):
+            if t == last:
+                first = a[0] ^ 1
+                for j in range(lo if n % p == 0 else lo + 1, k):
+                    if j != cut and j != first:
+                        a[t] = j
+                        out.append(tuple(map(letters.__getitem__, a)))
+                return
+            for j in range(lo, k):
                 if j != cut:
                     a[t] = j
                     rec(t + 1, p if j == lo else t + 1)
 
-        for j in range(len(letters)):
+        for j in range(k):
             a[0] = j
             rec(1, 1)
     return out

@@ -8,8 +8,9 @@ import pytest
 
 import speclab.boundary as boundary
 import speclab.surface_group as sg
-from speclab.cli import main
-from speclab.spectrum import modular_torus_rep, spectrum
+from speclab.cli import _indented_list, _json_str, main
+from speclab.fricke import rep_from_json, rep_to_json, schottky_sample
+from speclab.spectrum import modular_torus_rep, pattern, spectrum
 
 
 def run_cli(args, env_extra=None):
@@ -412,3 +413,67 @@ def test_golden_exact_spectrum_rows():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "024eef83229a481e07a02f8c1e7a108940880c534c084c34eed0a003f9aff2b0"
     )
+
+
+# -- the hand-written writers against json.dumps ------------------------------
+
+def _dumps_spectrum(rep, maxlen):
+    """`spectrum` jsonl as one json.dumps per row."""
+    fmt = sg.word_formatter(rep.presentation)
+    lines = [
+        json.dumps(
+            {"class": fmt(k.word), "trace": f"{float(t):.17g}", "length": f"{float(l):.17g}"},
+            sort_keys=True,
+        )
+        for k, t, l in spectrum(rep, maxlen).as_rows()
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _dumps_pattern(rep, maxlen, tol):
+    """`pattern` output as one json.dumps of the whole document."""
+    s = spectrum(rep, maxlen, tol)
+    p = pattern(s)
+    fmt = sg.word_formatter(rep.presentation)
+    doc = {
+        "rep_digest": s.rep_digest,
+        "tolerance": f"{float(p.tolerance):.17g}",
+        "blocks": [[fmt(p.classes[i].word) for i in block] for block in p.position_blocks()],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "make_rep,maxlen,tol",
+    [
+        (lambda: schottky_sample(3, 2), 6, "1e-9"),
+        (lambda: schottky_sample(3, 2), 5, "0.05"),
+        (lambda: schottky_sample(11, 3), 4, "1e-9"),
+        (modular_torus_rep, 6, "1e-9"),
+    ],
+    ids=["rank2", "rank2-coarse", "rank3", "modular-torus"],
+)
+def test_writers_match_json_dumps(make_rep, maxlen, tol, tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(rep_to_json(make_rep()))
+    rep = rep_from_json(path.read_text())  # the rep the commands read
+    rank = str(rep.presentation.free_rank)
+    common = ["--rep-file", str(path), "--rank", rank, "--maxlen", str(maxlen)]
+    for argv, oracle in (
+        (["spectrum"] + common, _dumps_spectrum(rep, maxlen)),
+        (["pattern"] + common + ["--tolerance", tol], _dumps_pattern(rep, maxlen, float(tol))),
+    ):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == oracle
+        out = tmp_path / f"{argv[0]}.out"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert out.read_bytes() == oracle.encode()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "blocks", [[], [[]], [["a1"]], [["a1", "A1"], [], ["b1 \u00e9\"\\"]]]
+)
+def test_indented_list_matches_json_dumps(blocks):
+    inner = [_indented_list([_json_str(w) for w in b], "  ") for b in blocks]
+    assert _indented_list(inner, "") == json.dumps(blocks, indent=2)

@@ -171,7 +171,9 @@ def _brute_force_ordered(p, maxlen, merge_inverse):
 
 
 @pytest.mark.parametrize(
-    "g,n,maxlen", [(1, 1, 7), (1, 2, 5), (2, 0, 4)], ids=["m2", "m3", "closed-g2"]
+    "g,n,maxlen",
+    [(1, 1, 7), (1, 2, 5), (1, 3, 4), (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 0, 4)],
+    ids=["m2", "m3", "m4", "m2-L1", "m2-L2", "m3-L1", "m3-L2", "closed-g2"],
 )
 @pytest.mark.parametrize("merge_inverse", [False, True])
 def test_enumerate_classes_matches_brute_force_order(g, n, maxlen, merge_inverse):
