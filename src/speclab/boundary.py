@@ -131,19 +131,6 @@ def northsouth_limits(eta: Mat2, gamma: Mat2, n_max: int = 30, n_min: int = 1):
     return rows
 
 
-def decay_rate(rows) -> float | None:
-    """Log-linear estimate of the geometric decay of d_plus over the tail."""
-    usable = [(n, dp) for n, dp, _ in rows if dp is not None and dp > 1e-14]
-    if len(usable) < 4:
-        return None
-    tail = usable[-6:] if len(usable) >= 6 else usable
-    n0, d0 = tail[0]
-    n1, d1 = tail[-1]
-    if n1 == n0:
-        return None
-    return math.exp((math.log(d1) - math.log(d0)) / (n1 - n0))
-
-
 # ---------------------------------------------------------------------------
 # Pullback cocycles (conjugation by h).
 # ---------------------------------------------------------------------------

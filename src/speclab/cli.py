@@ -19,6 +19,7 @@ from . import boundary, characters, fricke, surface_group as sg
 # the submodule), so pull what we need from the submodule directly.
 from .spectrum import (
     SpectrumError,
+    check_tolerance,
     pattern as length_pattern,
     rows_to_csv,
     scan_generic,
@@ -89,9 +90,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_pattern(args) -> int:
+    check_tolerance(args.tolerance)
     rep = _load_rep(args)
-    s = length_spectrum(rep, args.maxlen, args.tolerance)
-    p = length_pattern(s)
+    s = length_spectrum(rep, args.maxlen)
+    p = length_pattern(s, args.tolerance)
     fmt = sg.word_formatter(rep.presentation)
     cs = p.classes
     blocks = [
@@ -111,11 +113,11 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    check_tolerance(args.tolerance)
     rep1 = fricke.rep_from_json(Path(args.rep_file).read_text())
     rep2 = fricke.rep_from_json(Path(args.other).read_text())
-    s1 = length_spectrum(rep1, args.maxlen, args.tolerance)
-    s2 = length_spectrum(rep2, args.maxlen, args.tolerance)
-    p1, p2 = length_pattern(s1), length_pattern(s2)
+    p1 = length_pattern(length_spectrum(rep1, args.maxlen), args.tolerance)
+    p2 = length_pattern(length_spectrum(rep2, args.maxlen), args.tolerance)
     sub = subrelation(p1, p2)
     doc = {
         "holds": sub["holds"],

@@ -508,16 +508,3 @@ def rep_from_json(text: str) -> SurfaceRep:
             raise FrickeError(f"matrix {k} has det {ad - bc!r}, not 1")
     return SurfaceRep(pres, mats, _validate(pres, mats, cert))
 
-
-def vector_to_json(v: FrickeVector) -> str:
-    doc = {
-        "genus": v.genus,
-        "punctures": v.punctures,
-        "vector": [_fmt(x) for x in v.values],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def vector_from_json(text: str) -> FrickeVector:
-    doc = json.loads(text)
-    return FrickeVector(doc["genus"], doc["punctures"], tuple(float(x) for x in doc["vector"]))

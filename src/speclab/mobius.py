@@ -12,7 +12,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
 

@@ -33,28 +33,19 @@ class LengthSpectrum:
     traces: tuple
     lengths: tuple
     rep_digest: str
-    maxlen: int
-    tolerance: float
     exact: bool
 
     def as_rows(self):
         return list(zip(self.classes, self.traces, self.lengths))
 
 
-def spectrum(
-    rep: SurfaceRep,
-    maxlen: int,
-    tol: float = 1e-9,
-    classes=None,
-) -> LengthSpectrum:
+def spectrum(rep: SurfaceRep, maxlen: int, classes=None) -> LengthSpectrum:
     """|trace| and translation length of every class, read trace first.
 
     Above |tr| = 2 (2 + EPS for float reps) the length is 2 acosh(|tr|/2)
     straight from the product's entries.  Only at |tr| = 2 or below is a
     Mat2 built and classified: identity and parabolic have length 0, and an
-    elliptic class raises EllipticClassFound.  A negative or non-finite tol
-    raises SpectrumError before any class is enumerated."""
-    _check_tolerance(tol)
+    elliptic class raises EllipticClassFound."""
     if classes is None:
         classes = sg.enumerate_classes(rep.presentation, maxlen)
     classes = tuple(classes)
@@ -73,15 +64,7 @@ def spectrum(
                 raise EllipticClassFound(f"class {key} is elliptic (non-discrete rep?)")
             lengths.append(translation_length(m))
         traces.append(t)
-    return LengthSpectrum(
-        classes,
-        tuple(traces),
-        tuple(lengths),
-        rep.digest(),
-        maxlen,
-        tol,
-        exact,
-    )
+    return LengthSpectrum(classes, tuple(traces), tuple(lengths), rep.digest(), exact)
 
 
 @dataclass(frozen=True)
@@ -134,16 +117,15 @@ class Pattern:
         return dict(zip(self.classes, self.labels()))
 
 
-def _check_tolerance(tol) -> None:
+def check_tolerance(tol) -> None:
     if not (math.isfinite(tol) and tol >= 0):
         raise SpectrumError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
-def pattern(s: LengthSpectrum, tol: float | None = None) -> Pattern:
-    """Single-linkage clustering at gap tol; exact reps compare |trace| exactly."""
-    if tol is None:
-        tol = s.tolerance
-    _check_tolerance(tol)
+def pattern(s: LengthSpectrum, tol: float = 1e-9) -> Pattern:
+    """Single-linkage clustering at gap tol; exact reps compare |trace| exactly.
+    A negative or non-finite tol raises SpectrumError."""
+    check_tolerance(tol)
     if s.exact:
         groups: dict = {}
         for i, t in enumerate(s.traces):
@@ -184,16 +166,6 @@ def subrelation(p1: Pattern, p2: Pattern):
     return {"holds": not violations, "violations": violations}
 
 
-def partition_equal(p1: Pattern, p2: Pattern) -> bool:
-    """Same blocks up to order: the two labellings agree up to renaming."""
-    try:
-        where = _labels_along(p2, p1.classes)
-    except ClassSetMismatch:
-        return False
-    pairs = set(zip(p1.labels(), where))
-    return len(pairs) == p1.n_blocks == p2.n_blocks
-
-
 def rmin_pattern(classes, m: int) -> Pattern:
     """Partition by provable character-polynomial equality up to sign."""
     classes = tuple(classes)
@@ -220,14 +192,14 @@ def scan_generic(
         raise SpectrumError(f"need m >= 2, got {m}")
     if trials < 1:
         raise SpectrumError("trials must be >= 1")
-    _check_tolerance(tol)
+    check_tolerance(tol)
     pres = sg.Presentation(genus=1, punctures=m - 1)
     classes = tuple(sg.enumerate_classes(pres, maxlen))
     pmin = rmin_pattern(classes, m)
 
     def one_trial(index, rep, trial_seed):
-        s = spectrum(rep, maxlen, tol, classes=classes)
-        pg = pattern(s, None if s.exact else tol)
+        s = spectrum(rep, maxlen, classes=classes)
+        pg = pattern(s, tol)
         sub = subrelation(pmin, pg)
         return {
             "trial": index,

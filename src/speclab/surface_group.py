@@ -1,16 +1,17 @@
 """Surface-group presentations, words, conjugacy classes, enumeration.
 
 Words are tuples of nonzero signed generator indices (1-based): +k is the
-k-th generator, -k its inverse.  For punctured surfaces (n >= 1) the group
-is free on the first 2g + n - 1 generators and the last puncture generator
-is carried by the presentation only (it equals the inverse of the rest of
-the relator).  Closed surfaces (n = 0) use all 2g generators together with
-Dehn reduction by the surface relator.
+k-th generator, -k its inverse.  Only punctured surfaces (n >= 1) are
+presented: the group is free on the first 2g + n - 1 generators, and the
+last puncture generator is carried by the presentation only (it equals the
+inverse of the rest of the relator).  A conjugacy class is therefore keyed
+by the least rotation of a cyclically reduced word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .mobius import Mat2
 
@@ -33,6 +34,8 @@ class Presentation:
     punctures: int
 
     def __post_init__(self):
+        if self.punctures < 1:
+            raise ValueError(f"need punctures >= 1 (no closed surfaces), got {self.punctures}")
         if 2 * self.genus + self.punctures < 2:
             raise ValueError("need 2g + n >= 2 (non-elementary)")
 
@@ -43,10 +46,8 @@ class Presentation:
 
     @property
     def free_rank(self) -> int:
-        """Rank of the group: free basis for n >= 1, all 2g generators for n = 0."""
-        if self.punctures >= 1:
-            return 2 * self.genus + self.punctures - 1
-        return 2 * self.genus
+        """Rank of the free group: every generator but the last puncture's."""
+        return 2 * self.genus + self.punctures - 1
 
     def generator_name(self, k: int) -> str:
         g = self.genus
@@ -85,10 +86,6 @@ def letter_code(w) -> list[int]:
     return [2 * x if x > 0 else 1 - 2 * x for x in w]
 
 
-def _order_key(w: Word):
-    return (len(w), letter_code(w))
-
-
 def least_rotation(w: Word) -> Word:
     """Least rotation of w in letter order.  A least rotation starts at a
     least letter, so only those rotations are compared."""
@@ -112,43 +109,11 @@ def relator(p: Presentation) -> Word:
     return free_reduce(raw)
 
 
-def _dehn_reduce(w: Word, rel: Word) -> Word:
-    """Dehn's algorithm: replace any cyclic subword longer than half the
-    relator by the inverse complement, until no such subword remains."""
-    variants = []
-    for r in (rel, invert(rel)):
-        for k in range(len(r)):
-            variants.append(r[k:] + r[:k])
-    half = len(rel) // 2
-    w = cyclic_reduce(w)
-    changed = True
-    while changed and w:
-        changed = False
-        L = len(w)
-        doubled = w + w
-        for size in range(min(L, len(rel) - 1), half, -1):
-            for start in range(L):
-                piece = doubled[start : start + size]
-                for r in variants:
-                    if r[:size] == piece:
-                        # piece * tail = relator  =>  piece = tail^-1
-                        tail = r[size:]
-                        replacement = invert(tail)
-                        neww = doubled[start + size : start + L] + replacement
-                        w = cyclic_reduce(neww)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    return w
+class ConjClassKey(NamedTuple):
+    """A class's least cyclic rotation; a plain 1-tuple, so hashing and
+    equality are tuple-speed."""
 
-
-@dataclass(frozen=True)
-class ConjClassKey:
     word: Word
-    inverse_paired: bool = False
 
     def __str__(self) -> str:
         # compact letter syntax (a..z, uppercase = inverse); signed-int
@@ -160,20 +125,13 @@ class ConjClassKey:
         return " ".join(str(x) for x in self.word)
 
 
-def canonical_class(w, p: Presentation, merge_inverse: bool = False) -> ConjClassKey:
-    """Canonical cyclic form naming the conjugacy class of w."""
-    w = cyclic_reduce(free_reduce(w))
+def canonical_class(w, p: Presentation) -> ConjClassKey:
+    """Canonical cyclic form naming the conjugacy class of w in the free
+    group of p: the least rotation of its cyclic reduction."""
+    w = cyclic_reduce(w)
     if not w:
         raise EmptyWord("trivial class has no key")
-    if p.punctures == 0:
-        w = _dehn_reduce(w, relator(p))
-        if not w:
-            raise EmptyWord("word is trivial in the closed surface group")
-    key = least_rotation(w)
-    if merge_inverse:
-        ikey = least_rotation(cyclic_reduce(invert(w)))
-        key = min(key, ikey, key=_order_key)
-    return ConjClassKey(key, inverse_paired=merge_inverse)
+    return ConjClassKey(least_rotation(w))
 
 
 def _necklaces(rank: int, maxlen: int) -> list[Word]:
@@ -219,27 +177,12 @@ def _necklaces(rank: int, maxlen: int) -> list[Word]:
     return out
 
 
-def enumerate_classes(p: Presentation, maxlen: int, merge_inverse: bool = False) -> list[ConjClassKey]:
+def enumerate_classes(p: Presentation, maxlen: int) -> list[ConjClassKey]:
     """One key per conjugacy class of cyclic length <= maxlen, sorted by
     (length, letter order).  Deterministic and duplicate-free."""
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
-    necklaces = _necklaces(p.free_rank, maxlen)
-    if p.punctures == 0:
-        # Dehn-reduced keys are not conjugacy invariants yet, so every
-        # cyclically reduced word (every rotation of every necklace) is keyed.
-        seen = {}
-        for w in necklaces:
-            for k in range(len(w)):
-                try:
-                    key = canonical_class(w[k:] + w[:k], p, merge_inverse=merge_inverse)
-                except EmptyWord:
-                    continue
-                seen.setdefault(key.word, key)
-        return [seen[v] for v in sorted(seen, key=_order_key)]
-    if merge_inverse:
-        necklaces = [w for w in necklaces if letter_code(w) <= letter_code(least_rotation(invert(w)))]
-    return [ConjClassKey(w, inverse_paired=merge_inverse) for w in necklaces]
+    return list(map(ConjClassKey, _necklaces(p.free_rank, maxlen)))
 
 
 def evaluate(w, rep) -> Mat2:

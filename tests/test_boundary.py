@@ -11,7 +11,6 @@ from speclab.boundary import (
     DegenerateConfiguration,
     busemann,
     cross_term,
-    decay_rate,
     northsouth_limits,
     pairing_check,
     pullback_cocycle,
@@ -142,12 +141,13 @@ def test_northsouth_convergence_and_rate():
     e = REP.matrix(2)
     rows = northsouth_limits(e, g, n_max=30)
     usable = [(n, dp) for n, dp, _ in rows if dp is not None]
-    final = usable[-1][1]
-    assert final < 1e-8
-    rate = decay_rate(rows)
-    if rate is not None:
-        expected = math.exp(-translation_length(g))
-        assert abs(rate - expected) / expected < 0.2
+    assert usable[-1][1] < 1e-8
+    # d_plus shrinks by about exp(-l(g)) per power of g until it hits rounding
+    tail = [(n, dp) for n, dp in usable if dp > 1e-14][-6:]
+    (n0, d0), (n1, d1) = tail[0], tail[-1]
+    rate = (d1 / d0) ** (1 / (n1 - n0))
+    expected = math.exp(-translation_length(g))
+    assert abs(rate - expected) / expected < 0.2
 
 
 def test_parabolic_gamma_is_degenerate():

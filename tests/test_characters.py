@@ -134,8 +134,11 @@ def test_rmin_all_length_two_classes():
 
 
 def test_nontrivial_minimal_pair_exists():
-    # non-conjugate classes (inverse-merged) with identical character polynomial
-    classes = sg.enumerate_classes(F2, 8, merge_inverse=True)
+    # non-conjugate classes, one per inverse pair, with identical character polynomial
+    classes = [
+        k for k in sg.enumerate_classes(F2, 8)
+        if k <= sg.canonical_class(sg.invert(k.word), F2)
+    ]
     groups = {}
     for k in classes:
         groups.setdefault(trace_poly(k.word, 2).text(), []).append(k)

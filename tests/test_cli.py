@@ -196,13 +196,16 @@ def test_rep_file_with_short_row_is_input_error(tmp_path, capsys):
             "matrices": [[2, 0, 0, 0.5], [1, 1, 1, 2], [1, 0, 0, 1]],
             "validity": {"discreteness_certificate": [1]},
         },
+        # a closed genus-2 surface: only punctured surfaces are supported
+        {"genus": 2, "punctures": 0, "matrices": [[1, 0, 0, 1]] * 4},
     ],
 )
 def test_malformed_rep_file_is_input_error(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["spectrum", "--rep-file", str(path), "--maxlen", "2"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_rep_file_with_det_not_one_is_input_error(tmp_path, capsys):
@@ -432,8 +435,8 @@ def _dumps_spectrum(rep, maxlen):
 
 def _dumps_pattern(rep, maxlen, tol):
     """`pattern` output as one json.dumps of the whole document."""
-    s = spectrum(rep, maxlen, tol)
-    p = pattern(s)
+    s = spectrum(rep, maxlen)
+    p = pattern(s, tol)
     fmt = sg.word_formatter(rep.presentation)
     doc = {
         "rep_digest": s.rep_digest,

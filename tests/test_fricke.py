@@ -12,8 +12,6 @@ from speclab.fricke import (
     rep_from_json,
     rep_to_json,
     schottky_sample,
-    vector_from_json,
-    vector_to_json,
 )
 from speclab.mobius import Mat2, classify, IsometryClass
 import speclab.surface_group as sg
@@ -132,14 +130,6 @@ def test_conjugated_rep_drops_certificate():
     conj = rep.conjugated(Mat2(1, 0.5, 0, 1))
     assert conj.validity.discreteness_certificate is None
     assert conj.validity.valid
-
-
-def test_vector_json_roundtrip():
-    v = fricke_from_rep(punctured_torus_sample(1))
-    text = vector_to_json(v)
-    back = vector_from_json(text)
-    assert back.genus == v.genus and back.punctures == v.punctures
-    assert vector_to_json(back) == text
 
 
 def test_free_rep_wraps_free_generators():

@@ -13,7 +13,6 @@ from speclab.spectrum import (
     Pattern,
     SpectrumError,
     modular_torus_rep,
-    partition_equal,
     pattern,
     rmin_pattern,
     rows_to_csv,
@@ -29,23 +28,26 @@ from speclab.mobius import EPS, IsometryClass, Mat2, classify, translation_lengt
 F2 = sg.Presentation(genus=1, punctures=1)
 
 
-def _toy_spectrum(named_lengths, tol=1e-6):
+TOY_TOL = 1e-6
+
+
+def _toy_spectrum(named_lengths):
     keys = tuple(sg.canonical_class(w, F2) for w, _ in named_lengths)
     lengths = tuple(l for _, l in named_lengths)
     traces = tuple(2 * math.cosh(l / 2) for l in lengths)
-    return LengthSpectrum(keys, traces, lengths, "toy", 0, tol, False)
+    return LengthSpectrum(keys, traces, lengths, "toy", False)
 
 
 def test_pattern_toy_blocks():
     s = _toy_spectrum([((1,), 1.0), ((2,), 1.0), ((1, 2), 2.0)])
-    p = pattern(s)
+    p = pattern(s, TOY_TOL)
     blocks = {frozenset(str(k) for k in b) for b in p.blocks}
     assert blocks == {frozenset({"a", "b"}), frozenset({"ab"})}
 
 
 def test_pattern_all_distinct_singletons():
     s = _toy_spectrum([((1,), 1.0), ((2,), 1.5), ((1, 2), 2.0)])
-    p = pattern(s)
+    p = pattern(s, TOY_TOL)
     assert all(len(b) == 1 for b in p.blocks)
 
 
@@ -153,10 +155,6 @@ def _subrelation_by_keys(p1, p2):
     return {"holds": not violations, "violations": violations}
 
 
-def _partition_equal_by_keys(p1, p2):
-    return {frozenset(b) for b in p1.blocks} == {frozenset(b) for b in p2.blocks}
-
-
 def _random_pattern(rng, classes, blocks):
     order = list(range(len(classes)))
     rng.shuffle(order)
@@ -203,7 +201,6 @@ def test_position_based_subrelation_matches_key_based():
         for a, b in ((p1, p2), (p2, p1)):
             got = subrelation(a, b)
             assert got == _subrelation_by_keys(a, b)
-            assert partition_equal(a, b) is _partition_equal_by_keys(a, b)
             seen_violations += bool(got["violations"])
             seen_holds += got["holds"]
     assert seen_violations > 100 and seen_holds > 100
@@ -221,7 +218,6 @@ def test_position_based_subrelation_class_set_mismatch():
                 _subrelation_by_keys(a, b)
             with pytest.raises(ClassSetMismatch):
                 subrelation(a, b)
-            assert partition_equal(a, b) is _partition_equal_by_keys(a, b) is False
 
 
 def test_pattern_blocks_name_positions():
@@ -240,8 +236,6 @@ def test_pattern_blocks_name_positions():
 def test_pattern_rejects_bad_tolerance(tol):
     s = spectrum(schottky_sample(3, 2), 2)
     with pytest.raises(SpectrumError, match="tolerance"):
-        spectrum(schottky_sample(3, 2), 2, tol)
-    with pytest.raises(SpectrumError, match="tolerance"):
         pattern(s, tol)
     with pytest.raises(SpectrumError, match="tolerance"):
         next(scan_generic(3, 1, maxlen=2, tol=tol))
@@ -258,13 +252,13 @@ def test_scan_generic_checks_rank_before_any_work(monkeypatch):
 
 def test_subrelation_reflexive():
     s = _toy_spectrum([((1,), 1.0), ((2,), 1.0), ((1, 2), 2.0)])
-    p = pattern(s)
+    p = pattern(s, TOY_TOL)
     assert subrelation(p, p)["holds"]
 
 
 def test_subrelation_mismatched_class_sets():
-    p1 = pattern(_toy_spectrum([((1,), 1.0)]))
-    p2 = pattern(_toy_spectrum([((2,), 1.0)]))
+    p1 = pattern(_toy_spectrum([((1,), 1.0)]), TOY_TOL)
+    p2 = pattern(_toy_spectrum([((2,), 1.0)]), TOY_TOL)
     with pytest.raises(ClassSetMismatch):
         subrelation(p1, p2)
 
@@ -345,11 +339,6 @@ def test_scan_command_exits_1_when_a_trial_fails(monkeypatch, capsys):
     assert main(["scan", "--seed", "2", "--trials", "2", "--maxlen", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: trial 0") and captured.out == ""
-
-
-def test_partition_equal():
-    s = _toy_spectrum([((1,), 1.0), ((2,), 1.0)])
-    assert partition_equal(pattern(s), pattern(s))
 
 
 def test_rows_to_csv_layout():

@@ -5,7 +5,6 @@ from math import gcd
 
 import pytest
 
-from speclab import surface_group as sg
 from speclab.mobius import Mat2, identity
 from speclab.surface_group import (
     EmptyWord,
@@ -44,19 +43,15 @@ def test_relator_sphere_with_three_punctures():
     assert relator(p) == (1, 2, 3)
 
 
-def test_relator_genus_two_closed():
-    p = Presentation(genus=2, punctures=0)
-    assert relator(p) == (1, 2, -1, -2, 3, 4, -3, -4)
+def test_relator_genus_two_one_puncture():
+    p = Presentation(genus=2, punctures=1)
+    assert relator(p) == (1, 2, -1, -2, 3, 4, -3, -4, 5)
 
 
-def test_canonical_class_merge_inverse():
-    w1 = parse_word("aB", F2)
-    w2 = parse_word("bA", F2)
-    # b a^-1 is conjugate to the inverse of a b^-1, not to a b^-1 itself
-    assert canonical_class(w1, F2) != canonical_class(w2, F2)
-    assert canonical_class(w1, F2, merge_inverse=True) == canonical_class(
-        w2, F2, merge_inverse=True
-    )
+def test_presentation_needs_a_puncture():
+    for genus in (1, 2):
+        with pytest.raises(ValueError, match="punctures >= 1"):
+            Presentation(genus, 0)
 
 
 def test_canonical_class_conjugation_invariance():
@@ -98,32 +93,6 @@ def test_enumerate_classes_no_duplicates():
     assert len(classes) == len(set(classes))
 
 
-def test_enumerate_classes_merge_inverse_halves_non_symmetric():
-    full = enumerate_classes(F2, 2)
-    merged = enumerate_classes(F2, 2, merge_inverse=True)
-    assert len(merged) < len(full)
-    # every merged key covers itself and its inverse class
-    merged_set = {k.word for k in merged}
-    for k in full:
-        ki = canonical_class(k.word, F2, merge_inverse=True)
-        assert ki.word in merged_set
-
-
-def test_enumerate_classes_closed_genus_two():
-    p = Presentation(genus=2, punctures=0)
-    classes = enumerate_classes(p, 2)
-    # oracle: brute-force words with Dehn reduction folded in by canonical_class
-    letters = [x for k in (1, 2, 3, 4) for x in (k, -k)]
-    seen = set()
-    for L in (1, 2):
-        for w in itertools.product(letters, repeat=L):
-            try:
-                seen.add(canonical_class(w, p))
-            except EmptyWord:
-                continue
-    assert set(classes) == seen
-
-
 def _phi(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
@@ -148,39 +117,28 @@ def _naive_least_rotation(w):
     return min((w[i:] + w[:i] for i in range(len(w))), key=order, default=w)
 
 
-def _brute_force_ordered(p, maxlen, merge_inverse):
-    """Every cyclically reduced word, keyed by its least rotation (after Dehn
-    reduction on closed surfaces), deduplicated and sorted."""
+def _brute_force_ordered(p, maxlen):
+    """Every cyclically reduced word, keyed by its least rotation,
+    deduplicated and sorted."""
     order = lambda v: (len(v), [(abs(x), x < 0) for x in v])
     letters = [x for k in range(1, p.free_rank + 1) for x in (k, -k)]
-    rel = relator(p)
     keys = set()
     for L in range(1, maxlen + 1):
         for w in itertools.product(letters, repeat=L):
-            if any(w[i] == -w[(i + 1) % L] for i in range(L)):
-                continue
-            if p.punctures == 0:
-                w = sg._dehn_reduce(w, rel)
-                if not w:
-                    continue
-            key = _naive_least_rotation(w)
-            if merge_inverse:
-                key = min(key, _naive_least_rotation(invert(key)), key=order)
-            keys.add(key)
+            if not any(w[i] == -w[(i + 1) % L] for i in range(L)):
+                keys.add(_naive_least_rotation(w))
     return sorted(keys, key=order)
 
 
 @pytest.mark.parametrize(
     "g,n,maxlen",
-    [(1, 1, 7), (1, 2, 5), (1, 3, 4), (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 0, 4)],
-    ids=["m2", "m3", "m4", "m2-L1", "m2-L2", "m3-L1", "m3-L2", "closed-g2"],
+    [(1, 1, 7), (1, 2, 5), (1, 3, 4), (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)],
+    ids=["m2", "m3", "m4", "m2-L1", "m2-L2", "m3-L1", "m3-L2"],
 )
-@pytest.mark.parametrize("merge_inverse", [False, True])
-def test_enumerate_classes_matches_brute_force_order(g, n, maxlen, merge_inverse):
+def test_enumerate_classes_matches_brute_force_order(g, n, maxlen):
     p = Presentation(g, n)
-    classes = enumerate_classes(p, maxlen, merge_inverse=merge_inverse)
-    assert [k.word for k in classes] == _brute_force_ordered(p, maxlen, merge_inverse)
-    assert all(k.inverse_paired is merge_inverse for k in classes)
+    classes = enumerate_classes(p, maxlen)
+    assert [k.word for k in classes] == _brute_force_ordered(p, maxlen)
 
 
 def test_least_rotation_matches_naive():
@@ -213,12 +171,6 @@ def test_evaluate_is_homomorphism():
     assert worst < 1e-10
 
 
-def _closed_genus_two_rep():
-    # four float matrices under the closed genus-2 presentation; the relator
-    # need not hold for a check of the products alone
-    return SurfaceRep(Presentation(2, 0), schottky_sample(5, 4).matrices[:4])
-
-
 def _chain(w, rep):
     """Entries of the left-to-right Mat2.__mul__ chain from the identity:
     the oracle of evaluate_many, which does not call Mat2.__mul__."""
@@ -235,14 +187,12 @@ def _chain(w, rep):
         (F2, 8, schottky_sample(3, 2)),
         (F2, 8, modular_torus_rep()),
         (Presentation(1, 2), 6, schottky_sample(4, 3)),
-        (Presentation(2, 0), 4, _closed_genus_two_rep()),
     ],
-    ids=["m2-float", "m2-exact", "m3-float", "closed-g2"],
+    ids=["m2-float", "m2-exact", "m3-float"],
 )
-@pytest.mark.parametrize("merge_inverse", [False, True])
-def test_evaluate_many_matches_evaluate_on_class_lists(p, maxlen, rep, merge_inverse):
+def test_evaluate_many_matches_evaluate_on_class_lists(p, maxlen, rep):
     for L in range(1, maxlen + 1):
-        words = [k.word for k in enumerate_classes(p, L, merge_inverse=merge_inverse)]
+        words = [k.word for k in enumerate_classes(p, L)]
         # exact tuple equality: the same products in the same order
         assert list(evaluate_many(words, rep)) == [_chain(w, rep) for w in words]
     assert [evaluate(w, rep).entries() for w in words] == [_chain(w, rep) for w in words]
