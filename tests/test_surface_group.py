@@ -117,17 +117,20 @@ def _naive_least_rotation(w):
     return min((w[i:] + w[:i] for i in range(len(w))), key=order, default=w)
 
 
+def _order(v):
+    return (len(v), [(abs(x), x < 0) for x in v])
+
+
 def _brute_force_ordered(p, maxlen):
     """Every cyclically reduced word, keyed by its least rotation,
     deduplicated and sorted."""
-    order = lambda v: (len(v), [(abs(x), x < 0) for x in v])
     letters = [x for k in range(1, p.free_rank + 1) for x in (k, -k)]
     keys = set()
     for L in range(1, maxlen + 1):
         for w in itertools.product(letters, repeat=L):
             if not any(w[i] == -w[(i + 1) % L] for i in range(L)):
                 keys.add(_naive_least_rotation(w))
-    return sorted(keys, key=order)
+    return sorted(keys, key=_order)
 
 
 @pytest.mark.parametrize(
@@ -135,10 +138,15 @@ def _brute_force_ordered(p, maxlen):
     [(1, 1, 7), (1, 2, 5), (1, 3, 4), (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)],
     ids=["m2", "m3", "m4", "m2-L1", "m2-L2", "m3-L1", "m3-L2"],
 )
-def test_enumerate_classes_matches_brute_force_order(g, n, maxlen):
+@pytest.mark.parametrize("inverted", [False, True])
+def test_enumerate_classes_matches_brute_force_order(g, n, maxlen, inverted):
     p = Presentation(g, n)
-    classes = enumerate_classes(p, maxlen)
-    assert [k.word for k in classes] == _brute_force_ordered(p, maxlen)
+    words = [k.word for k in enumerate_classes(p, maxlen)]
+    if inverted:
+        # the class list is closed under inversion: keying every inverse
+        # gives back the same list once sorted
+        words = sorted((canonical_class(invert(w), p).word for w in words), key=_order)
+    assert words == _brute_force_ordered(p, maxlen)
 
 
 def test_least_rotation_matches_naive():
@@ -190,9 +198,14 @@ def _chain(w, rep):
     ],
     ids=["m2-float", "m2-exact", "m3-float"],
 )
-def test_evaluate_many_matches_evaluate_on_class_lists(p, maxlen, rep):
+@pytest.mark.parametrize("inverted", [False, True])
+def test_evaluate_many_matches_evaluate_on_class_lists(p, maxlen, rep, inverted):
     for L in range(1, maxlen + 1):
         words = [k.word for k in enumerate_classes(p, L)]
+        if inverted:
+            # inverse words are not least rotations: evaluate_many must not
+            # depend on the canonical form
+            words = [invert(w) for w in words]
         # exact tuple equality: the same products in the same order
         assert list(evaluate_many(words, rep)) == [_chain(w, rep) for w in words]
     assert [evaluate(w, rep).entries() for w in words] == [_chain(w, rep) for w in words]
