@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass
+from functools import cache
 
 from . import surface_group as sg
 from .mobius import (
@@ -31,7 +31,7 @@ from .mobius import (
 
 SEPARATION_FLOOR = 1e-6
 
-# A rejection loop of run_all_checks gives up after this many attempts per sample.
+# A check of run_all_checks gives up after this many attempts per sample.
 REJECTION_CAP = 100
 
 
@@ -67,8 +67,8 @@ def pairing_check(gamma: Mat2, xi: BoundaryPoint, eta: BoundaryPoint) -> float:
     return abs(lhs - rhs)
 
 
-def _h(C, x, y, z):
-    return C(x, y) + C(x, z) - C(y, z)
+def _h(x, y, z):
+    return cross_term(x, y) + cross_term(x, z) - cross_term(y, z)
 
 
 def recover_cocycle_from_C(
@@ -78,7 +78,7 @@ def recover_cocycle_from_C(
 
     `images`, when given, is (gamma x, gamma y, gamma z) already computed."""
     gx, gy, gz = images if images is not None else (act(gamma, x), act(gamma, y), act(gamma, z))
-    return 0.5 * (_h(cross_term, gx, gy, gz) - _h(cross_term, x, y, z))
+    return 0.5 * (_h(gx, gy, gz) - _h(x, y, z))
 
 
 def _hyperbolic_fixed_points(gamma: Mat2):
@@ -144,20 +144,12 @@ def pullback_cocycle(h: Mat2):
     return beta
 
 
-def pullback_cross_term(h: Mat2):
-    def C(xi: BoundaryPoint, eta: BoundaryPoint) -> float:
-        return cross_term(act(h, xi), act(h, eta))
-
-    return C
-
-
 def pullback_potential(h: Mat2, y: BoundaryPoint, z: BoundaryPoint):
     """Candidate potential with d(phi) = beta - B, built from the cross-term
     difference by the triple construction."""
-    Cb = pullback_cross_term(h)
 
     def F(a, b):
-        return Cb(a, b) - cross_term(a, b)
+        return cross_term(act(h, a), act(h, b)) - cross_term(a, b)
 
     def phi(xi: BoundaryPoint) -> float:
         return 0.5 * (F(xi, y) + F(xi, z) - F(y, z))
@@ -176,17 +168,8 @@ class CheckReport:
     def passed(self) -> bool:
         return self.max_defect < self.tolerance
 
-    def as_dict(self):
-        return {
-            "check": self.check,
-            "samples": self.samples,
-            "max_defect": self.max_defect,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        return json.dumps({**asdict(self), "pass": self.passed}, sort_keys=True)
 
 
 def _random_point(rng: random.Random) -> BoundaryPoint:
@@ -205,87 +188,24 @@ def _separated_points(rng, count):
     raise BoundaryError("could not draw separated points")
 
 
-class _Drawn(NamedTuple):
-    word: tuple
-    m: Mat2
-    hyperbolic: bool
+def _worst(check: str, samples: int, tolerance: float, attempt) -> CheckReport:
+    """Largest defect over `samples` accepted draws of one check.
 
-
-class _WordMemo:
-    """What one `run_all_checks` call has learnt about the words it drew.
-
-    The suite draws reduced words of length <= 3, of which there are only
-    52 at rank 2 and 186 at rank 3, so most draws repeat a word.  Each
-    distinct word is evaluated and classified once, and the measurements
-    that depend on the drawn words alone (the pole defects of g, the
-    north-south rows of a pair) are taken once; every draw still consumes
-    its random numbers and counts as a sample.
-    """
-
-    def __init__(self, rep):
-        self.rep = rep
-        rank = rep.presentation.free_rank
-        self.letters = [k for k in range(1, rank + 1)] + [-k for k in range(1, rank + 1)]
-        self._drawn: dict[tuple, _Drawn] = {}
-        self._pole_defects: dict[tuple, tuple[float, float]] = {}
-        # (eta word, gamma word) -> rows, or None for a degenerate pair
-        self._northsouth: dict[tuple, list | None] = {}
-
-    def drawn(self, word: tuple) -> _Drawn:
-        hit = self._drawn.get(word)
-        if hit is None:
-            m = sg.evaluate(word, self.rep)
-            hit = self._drawn[word] = _Drawn(word, m, classify(m) is IsometryClass.HYPERBOLIC)
-        return hit
-
-    def pole_defects(self, g: _Drawn) -> tuple[float, float]:
-        """Antisymmetry |B(g, g-) + B(g, g+)| and inverse-class equality
-        |B(g^-1, (g^-1)+) - B(g, g+)| of a hyperbolic g."""
-        hit = self._pole_defects.get(g.word)
-        if hit is None:
-            gp, gm = g.m.fixed
-            gi = g.m.inverse()
-            gip, _ = fixed_points(gi)
-            hit = self._pole_defects[g.word] = (
-                abs(busemann(g.m, gm) + busemann(g.m, gp)),
-                abs(busemann(gi, gip) - busemann(g.m, gp)),
-            )
-        return hit
-
-    def northsouth(self, e: _Drawn, g: _Drawn):
-        """`northsouth_limits(e, g)` at n = 23..25, or None if degenerate."""
-        key = (e.word, g.word)
-        if key not in self._northsouth:
-            try:
-                rows = northsouth_limits(e.m, g.m, n_max=25, n_min=23)
-            except DegenerateConfiguration:
-                rows = None
-            self._northsouth[key] = rows
-        return self._northsouth[key]
-
-
-def _random_word_element(memo: _WordMemo, rng, max_len=3) -> _Drawn:
-    L = rng.randint(1, max_len)
-    w = []
-    while len(w) < L:
-        x = rng.choice(memo.letters)
-        if w and w[-1] == -x:
-            continue
-        w.append(x)
-    return memo.drawn(tuple(w))
-
-
-def _random_hyperbolic(memo: _WordMemo, rng, max_len=3) -> _Drawn:
-    for _ in range(100):
-        g = _random_word_element(memo, rng, max_len)
-        if g.hyperbolic:
-            return g
-    raise BoundaryError("no hyperbolic element found")
-
-
-def _rejections_exhausted(check: str, samples: int, done: int) -> BoundaryError:
+    `attempt()` makes one draw and returns its defect, or None when it
+    rejects the draw; after REJECTION_CAP * samples attempts the check
+    gives up with BoundaryError."""
     attempts = REJECTION_CAP * samples
-    return BoundaryError(
+    worst = 0.0
+    done = 0
+    for _ in range(attempts):
+        d = attempt()
+        if d is None:
+            continue
+        worst = max(worst, d)
+        done += 1
+        if done == samples:
+            return CheckReport(check, samples, worst, tolerance)
+    raise BoundaryError(
         f"{check}: {attempts - done} of {attempts} draws rejected, "
         f"{done} of {samples} samples accepted"
     )
@@ -300,98 +220,114 @@ def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
-    memo = _WordMemo(rep)
-    reports = []
+    rank = rep.presentation.free_rank
+    letters = [k for k in range(1, rank + 1)] + [-k for k in range(1, rank + 1)]
 
-    # cocycle identity
-    worst = 0.0
-    for _ in range(samples):
-        g1 = _random_word_element(memo, rng).m
-        g2 = _random_word_element(memo, rng).m
+    # The suite draws reduced words of length <= 3, of which there are only
+    # 52 at rank 2 and 186 at rank 3, so most draws repeat a word.  The
+    # caches below live for this call: each distinct word is evaluated and
+    # classified once, and the measurements that depend on the drawn words
+    # alone (the pole defects of g, the north-south defect of a pair) are
+    # taken once; every draw still consumes its random numbers and counts
+    # as a sample.
+
+    @cache
+    def element(w: tuple) -> tuple[Mat2, bool]:
+        m = sg.evaluate(w, rep)
+        return m, classify(m) is IsometryClass.HYPERBOLIC
+
+    def word(max_len: int) -> tuple:
+        L = rng.randint(1, max_len)
+        w = []
+        while len(w) < L:
+            x = rng.choice(letters)
+            if w and w[-1] == -x:
+                continue
+            w.append(x)
+        return tuple(w)
+
+    def hyperbolic(max_len: int) -> tuple:
+        for _ in range(100):
+            w = word(max_len)
+            if element(w)[1]:
+                return w
+        raise BoundaryError("no hyperbolic element found")
+
+    @cache
+    def pole_defects(w: tuple) -> tuple[float, float]:
+        """Antisymmetry |B(g, g-) + B(g, g+)| and inverse-class equality
+        |B(g^-1, (g^-1)+) - B(g, g+)| of a hyperbolic g."""
+        g, _ = element(w)
+        gp, gm = g.fixed
+        gi = g.inverse()
+        gip, _ = fixed_points(gi)
+        return abs(busemann(g, gm) + busemann(g, gp)), abs(busemann(gi, gip) - busemann(g, gp))
+
+    @cache
+    def northsouth(e: tuple, g: tuple) -> float:
+        """Distance of the fixed points of eta gamma^n, n = 23..25, from
+        eta gamma+ and gamma-; 0.0 when the pair or every power is degenerate."""
+        try:
+            rows = northsouth_limits(element(e)[0], element(g)[0], n_max=25, n_min=23)
+        except DegenerateConfiguration:
+            return 0.0
+        finals = [(dp, dm) for _, dp, dm in rows if dp is not None]
+        if not finals:
+            return 0.0
+        return max(min(dp for dp, _ in finals), min(dm for _, dm in finals))
+
+    def cocycle():
+        g1, _ = element(word(3))
+        g2, _ = element(word(3))
         xi = _random_point(rng)
-        d = abs(busemann(g1 * g2, xi) - busemann(g1, act(g2, xi)) - busemann(g2, xi))
-        worst = max(worst, d)
-    reports.append(CheckReport("cocycle_identity", samples, worst, 1e-9))
+        return abs(busemann(g1 * g2, xi) - busemann(g1, act(g2, xi)) - busemann(g2, xi))
 
-    # pairing identity (image separation enforced by rejection)
-    worst = 0.0
-    done = 0
-    for _ in range(REJECTION_CAP * samples):
-        g = _random_word_element(memo, rng, max_len=2).m
+    def pairing():
+        # image separation enforced by rejection
+        g, _ = element(word(2))
         xi, eta = _separated_points(rng, 2)
         if act(g, xi).angle_dist(act(g, eta)) < 1e-5:
-            continue
-        worst = max(worst, pairing_check(g, xi, eta))
-        done += 1
-        if done == samples:
-            break
-    else:
-        raise _rejections_exhausted("pairing_identity", samples, done)
-    reports.append(CheckReport("pairing_identity", samples, worst, 1e-8))
+            return None
+        return pairing_check(g, xi, eta)
 
-    # antisymmetry at the poles and inverse-class equality
-    worst_anti = 0.0
-    worst_inv = 0.0
-    for _ in range(samples):
-        anti, inv = memo.pole_defects(_random_hyperbolic(memo, rng))
-        worst_anti = max(worst_anti, anti)
-        worst_inv = max(worst_inv, inv)
-    reports.append(CheckReport("antisymmetry_at_poles", samples, worst_anti, 1e-8))
-    reports.append(CheckReport("inverse_class_equality", samples, worst_inv, 1e-8))
-
-    # C determines c (triple-difference recovery, aux-pair independence)
-    worst = 0.0
-    done = 0
-    for _ in range(REJECTION_CAP * samples):
-        g = _random_word_element(memo, rng, max_len=2).m
+    def recovery():
+        # triple-difference recovery, aux-pair independence
+        g, _ = element(word(2))
         pts = _separated_points(rng, 5)
-        x, y, z, y2, z2 = pts
         imgs = [act(g, p) for p in pts]
-        if any(
-            imgs[i].angle_dist(imgs[j]) < 1e-5 for i in range(5) for j in range(i + 1, 5)
-        ):
-            continue
+        if any(imgs[i].angle_dist(imgs[j]) < 1e-5 for i in range(5) for j in range(i + 1, 5)):
+            return None
+        x, y, z, y2, z2 = pts
         gx, gy, gz, gy2, gz2 = imgs
         r1 = recover_cocycle_from_C(g, x, y, z, images=(gx, gy, gz))
         r2 = recover_cocycle_from_C(g, x, y2, z2, images=(gx, gy2, gz2))
         b = busemann(g, x)
-        worst = max(worst, abs(r1 - b), abs(r2 - b), abs(r1 - r2))
-        done += 1
-        if done == samples:
-            break
-    else:
-        raise _rejections_exhausted("c_determines_cocycle", samples, done)
-    reports.append(CheckReport("c_determines_cocycle", samples, worst, 1e-7))
+        return max(abs(r1 - b), abs(r2 - b), abs(r1 - r2))
 
-    # Step-1 identity for coboundaries
-    worst = 0.0
-    done = 0
-    for _ in range(REJECTION_CAP * samples):
-        g = _random_hyperbolic(memo, rng).m
-        e = _random_word_element(memo, rng).m
+    def step1():
+        g, _ = element(hyperbolic(3))
+        e, _ = element(word(3))
         try:
-            worst = max(worst, step1_identity_check(lambda q: math.cos(q.theta), e, g))
+            return step1_identity_check(lambda q: math.cos(q.theta), e, g)
         except DegenerateConfiguration:
-            continue
-        done += 1
-        if done == samples:
-            break
-    else:
-        raise _rejections_exhausted("step1_coboundary_identity", samples, done)
-    reports.append(CheckReport("step1_coboundary_identity", samples, worst, 1e-12))
+            return None
 
-    # north-south limits (Lemma S style convergence)
-    worst = 0.0
-    for _ in range(samples):
-        g = _random_hyperbolic(memo, rng, max_len=1)
-        e = _random_word_element(memo, rng, max_len=1)
-        rows = memo.northsouth(e, g)
-        if rows is None:
-            continue
-        finals = [(dp, dm) for _, dp, dm in rows if dp is not None]
-        if not finals:
-            continue
-        worst = max(worst, min(dp for dp, _ in finals), min(dm for _, dm in finals))
-    reports.append(CheckReport("northsouth_limits", samples, worst, 1e-6))
+    def limits():
+        # Lemma S style convergence; gamma is drawn before eta
+        g = hyperbolic(1)
+        return northsouth(word(1), g)
 
+    reports = [
+        _worst("cocycle_identity", samples, 1e-9, cocycle),
+        _worst("pairing_identity", samples, 1e-8, pairing),
+    ]
+    # antisymmetry at the poles and inverse-class equality, from the same draws
+    anti, inv = zip(*[pole_defects(hyperbolic(3)) for _ in range(samples)])
+    reports.append(CheckReport("antisymmetry_at_poles", samples, max(0.0, *anti), 1e-8))
+    reports.append(CheckReport("inverse_class_equality", samples, max(0.0, *inv), 1e-8))
+    reports += [
+        _worst("c_determines_cocycle", samples, 1e-7, recovery),
+        _worst("step1_coboundary_identity", samples, 1e-12, step1),
+        _worst("northsouth_limits", samples, 1e-6, limits),
+    ]
     return reports

@@ -230,27 +230,25 @@ class _Rewriter:
             positions[i] = k
 
         # 4. distinct positive letters: sort toward the ascending basis word
-        lin = sg.least_rotation(w)
+        # (w is a memo key, hence already its own least rotation)
         descent = None
-        for j in range(len(lin) - 1):
-            if lin[j] > lin[j + 1]:
+        for j in range(len(w) - 1):
+            if w[j] > w[j + 1]:
                 descent = j
                 break
         if descent is None:
             mask = 0
-            for x in lin:
+            for x in w:
                 mask |= 1 << (x - 1)
             return TracePoly.var(mask)
-        a, b = lin[descent], lin[descent + 1]
-        M = lin[:descent]
-        N = lin[descent + 2 :]
+        a, b = w[descent], w[descent + 1]
+        M = w[:descent]
+        N = w[descent + 2 :]
         t_a = TracePoly.var(1 << (a - 1))
         t_b = TracePoly.var(1 << (b - 1))
         t_ab = TracePoly.var((1 << (a - 1)) | (1 << (b - 1)))
-        swapped = M + (b, a) + N
-        assert _measure(sg.cyclic_reduce(swapped)) < meas
         return (
-            -self._trace_reduced(sg.cyclic_reduce(swapped))
+            -self._child(meas, M + (b, a) + N)
             + t_b * self._child(meas, M + (a,) + N)
             + t_a * self._child(meas, M + (b,) + N)
             + (t_ab - t_a * t_b) * self._child(meas, M + N)

@@ -59,6 +59,8 @@ class FrickeVector:
 
     def __post_init__(self):
         g, n = self.genus, self.punctures
+        if n < 1:
+            raise FrickeError(f"need at least one puncture, got {n}")
         expected = 6 * (g - 1) + 2 * n
         if len(self.values) != expected:
             raise FrickeError(
@@ -131,8 +133,7 @@ class SurfaceRep:
         for g in mats[2:]:
             partial = partial * g
         last = partial.inverse()
-        t = last.tr()
-        if (t < 0) if last.exact() else (float(t) < 0):
+        if last.tr() < 0:
             last = -last
         all_mats = tuple(mats) + (last,)
         return cls(pres, all_mats, _validate(pres, all_mats, certificate))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import characters, surface_group as sg
@@ -129,7 +128,7 @@ def pattern(s: LengthSpectrum, tol: float = 1e-9) -> Pattern:
     if s.exact:
         groups: dict = {}
         for i, t in enumerate(s.traces):
-            groups.setdefault(Fraction(t), []).append(i)
+            groups.setdefault(t, []).append(i)
         return Pattern.from_blocks(s.classes, (groups[t] for t in sorted(groups)), 0.0)
     lengths = s.lengths
     order = sorted(range(len(lengths)), key=lengths.__getitem__)

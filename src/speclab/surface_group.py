@@ -125,9 +125,9 @@ class ConjClassKey(NamedTuple):
         return " ".join(str(x) for x in self.word)
 
 
-def canonical_class(w, p: Presentation) -> ConjClassKey:
-    """Canonical cyclic form naming the conjugacy class of w in the free
-    group of p: the least rotation of its cyclic reduction."""
+def canonical_class(w) -> ConjClassKey:
+    """Canonical cyclic form naming the conjugacy class of w in a free
+    group: the least rotation of its cyclic reduction."""
     w = cyclic_reduce(w)
     if not w:
         raise EmptyWord("trivial class has no key")

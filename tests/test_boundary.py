@@ -292,3 +292,31 @@ def test_rejection_cap_step1(monkeypatch):
     monkeypatch.setattr(boundary, "step1_identity_check", degenerate)
     with pytest.raises(BoundaryError, match=r"^step1_coboundary_identity: 400 of 400 draws"):
         run_all_checks(REP, seed=3, samples=4)
+
+
+def test_rejection_cap_c_recovery(monkeypatch):
+    # five coincident points have coincident images, so C-recovery rejects
+    # every draw; the pairing check's 2-point draws stay as they are
+    separated = boundary._separated_points
+
+    def coincident(rng, count):
+        pts = separated(rng, count)
+        return [BoundaryPoint(1.0)] * count if count == 5 else pts
+
+    monkeypatch.setattr(boundary, "_separated_points", coincident)
+    with pytest.raises(BoundaryError, match=r"^c_determines_cocycle: 400 of 400 draws rejected"):
+        run_all_checks(REP, seed=3, samples=4)
+
+
+def test_run_all_checks_single_sample():
+    reports = run_all_checks(REP, seed=3, samples=1)
+    assert [r.check for r in reports] == [
+        "cocycle_identity",
+        "pairing_identity",
+        "antisymmetry_at_poles",
+        "inverse_class_equality",
+        "c_determines_cocycle",
+        "step1_coboundary_identity",
+        "northsouth_limits",
+    ]
+    assert all(r.samples == 1 for r in reports)

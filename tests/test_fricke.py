@@ -63,6 +63,14 @@ def test_fricke_vector_dimension():
         FrickeVector(genus=1, punctures=1, values=(2.0,))
 
 
+def test_fricke_vector_needs_a_puncture():
+    values = (0.5, 1.0, 3.0, 2.0, 1.5, 1.0)  # a full genus-2 handle, no puncture
+    with pytest.raises(FrickeError, match="puncture"):
+        FrickeVector(2, 0, values)
+    with pytest.raises(FrickeError, match="puncture"):
+        rep_from_fricke(2, 0, FrickeVector(2, 0, values))
+
+
 def test_roundtrip_punctured_torus():
     worst_defect = 0.0
     worst_trace = 0.0

@@ -32,7 +32,7 @@ TOY_TOL = 1e-6
 
 
 def _toy_spectrum(named_lengths):
-    keys = tuple(sg.canonical_class(w, F2) for w, _ in named_lengths)
+    keys = tuple(sg.canonical_class(w) for w, _ in named_lengths)
     lengths = tuple(l for _, l in named_lengths)
     traces = tuple(2 * math.cosh(l / 2) for l in lengths)
     return LengthSpectrum(keys, traces, lengths, "toy", False)
@@ -56,7 +56,7 @@ def test_spectrum_inverse_classes_equal_length():
     s = spectrum(rep, 3)
     by_key = {k: l for k, l in zip(s.classes, s.lengths)}
     for k in s.classes:
-        ki = sg.canonical_class(sg.invert(k.word), F2)
+        ki = sg.canonical_class(sg.invert(k.word))
         assert abs(by_key[k] - by_key[ki]) < 1e-12
 
 
@@ -211,7 +211,7 @@ def test_position_based_subrelation_class_set_mismatch():
     classes = tuple(sg.enumerate_classes(F2, 3))
     p = _random_pattern(rng, classes, 5)
     fewer = _random_pattern(rng, classes[:-1], 5)
-    other = _random_pattern(rng, classes[:-1] + (sg.canonical_class((1, 1, 1, 1), F2),), 5)
+    other = _random_pattern(rng, classes[:-1] + (sg.canonical_class((1, 1, 1, 1)),), 5)
     for q in (fewer, other):
         for a, b in ((p, q), (q, p)):
             with pytest.raises(ClassSetMismatch):
@@ -268,8 +268,8 @@ def test_modular_torus_arithmetic_coincidence():
     s = spectrum(rep, 1)
     assert s.exact
     p = pattern(s)
-    a = sg.canonical_class((1,), F2)
-    b = sg.canonical_class((2,), F2)
+    a = sg.canonical_class((1,))
+    b = sg.canonical_class((2,))
     where = p.block_of()
     # traces 3 and 3: same length block ...
     assert where[a] == where[b]

@@ -62,10 +62,10 @@ def test_canonical_class_conjugation_invariance():
         u = tuple(rng.choice(letters) for _ in range(3))
         conj = free_reduce(u + w + invert(u))
         try:
-            k1 = canonical_class(w, F2)
+            k1 = canonical_class(w)
         except EmptyWord:
             continue
-        assert canonical_class(conj, F2) == k1
+        assert canonical_class(conj) == k1
 
 
 def _brute_force_classes(maxlen):
@@ -145,7 +145,7 @@ def test_enumerate_classes_matches_brute_force_order(g, n, maxlen, inverted):
     if inverted:
         # the class list is closed under inversion: keying every inverse
         # gives back the same list once sorted
-        words = sorted((canonical_class(invert(w), p).word for w in words), key=_order)
+        words = sorted((canonical_class(invert(w)).word for w in words), key=_order)
     assert words == _brute_force_ordered(p, maxlen)
 
 
@@ -277,9 +277,9 @@ def test_parse_word_compact_and_spaced_agree():
 
 def test_canonical_class_rejects_trivial():
     with pytest.raises(EmptyWord):
-        canonical_class((1, -1), F2)
+        canonical_class((1, -1))
 
 
 def test_class_key_str_compact():
-    k = canonical_class(parse_word("abAB", F2), F2)
+    k = canonical_class(parse_word("abAB", F2))
     assert str(k).isalpha()
