@@ -7,24 +7,37 @@ Conventions (disk model, base point at the center):
 With these signs the pairing identity
     C(g xi, g eta) - C(xi, eta) = B(g, xi) + B(g, eta)
 is an algebraic identity of Mobius maps, verified here numerically.
+
+Every formula has one raw form on an (angle, unit complex) pair and a disk
+matrix, built on the float kernels of `mobius` (`circle_image`,
+`circle_derivative`, `angle_gap`) that `act`, `boundary_derivative` and
+`BoundaryPoint.angle_dist` wrap.  `busemann`, `cross_term`, `pairing_check`
+and `recover_cocycle_from_C` take BoundaryPoints and wrap the raw forms;
+`run_all_checks` calls the raw forms directly, and draws its words with the
+same random bits as `randint`/`choice`.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from functools import cache
+from functools import cache, partial
+from itertools import combinations
 
 from . import surface_group as sg
 from .mobius import (
+    TWO_PI,
     BoundaryPoint,
     IsometryClass,
     Mat2,
     NotHyperbolic,
     act,
-    boundary_derivative,
+    angle_gap,
+    circle_derivative,
+    circle_image,
     classify,
     fixed_points,
 )
@@ -47,38 +60,61 @@ class DegenerateConfiguration(BoundaryError):
     pass
 
 
-def busemann(gamma: Mat2, xi: BoundaryPoint) -> float:
-    """Horospherical displacement cocycle B(gamma, xi) = -log|gamma'(xi)|."""
-    return -math.log(boundary_derivative(gamma, xi))
+# Raw forms: a point is an (angle, unit complex) pair, an element its disk
+# matrix q (`Mat2.disk`).
+
+def _busemann(q, u: complex) -> float:
+    return -math.log(circle_derivative(q, u))
 
 
-def cross_term(xi: BoundaryPoint, eta: BoundaryPoint) -> float:
-    """C(xi, eta) = 2 (xi, eta)_o = -log(|xi - eta|^2 / 4)."""
-    d = xi.chord_dist(eta)
-    if xi.angle_dist(eta) < SEPARATION_FLOOR:
-        raise CoincidentPoints(f"separation {xi.angle_dist(eta)} below floor")
+def _cross(x, y) -> float:
+    gap = angle_gap(x[0], y[0])
+    if gap < SEPARATION_FLOOR:
+        raise CoincidentPoints(f"separation {gap} below floor")
+    d = abs(x[1] - y[1])
     return -math.log(d * d / 4.0)
 
 
-def pairing_check(gamma: Mat2, xi: BoundaryPoint, eta: BoundaryPoint) -> float:
-    """Defect of the Gromov-product pairing identity at (gamma, xi, eta)."""
-    lhs = cross_term(act(gamma, xi), act(gamma, eta)) - cross_term(xi, eta)
-    rhs = busemann(gamma, xi) + busemann(gamma, eta)
+def _pairing_defect(q, x, y, gx, gy) -> float:
+    lhs = _cross(gx, gy) - _cross(x, y)
+    rhs = _busemann(q, x[1]) + _busemann(q, y[1])
     return abs(lhs - rhs)
 
 
 def _h(x, y, z):
-    return cross_term(x, y) + cross_term(x, z) - cross_term(y, z)
+    return _cross(x, y) + _cross(x, z) - _cross(y, z)
+
+
+def _recovered(x, y, z, gx, gy, gz) -> float:
+    return 0.5 * (_h(gx, gy, gz) - _h(x, y, z))
+
+
+def _raw(xi: BoundaryPoint):
+    return xi.theta, xi.u
+
+
+def busemann(gamma: Mat2, xi: BoundaryPoint) -> float:
+    """Horospherical displacement cocycle B(gamma, xi) = -log|gamma'(xi)|."""
+    return _busemann(gamma.disk, xi.u)
+
+
+def cross_term(xi: BoundaryPoint, eta: BoundaryPoint) -> float:
+    """C(xi, eta) = 2 (xi, eta)_o = -log(|xi - eta|^2 / 4)."""
+    return _cross(_raw(xi), _raw(eta))
+
+
+def pairing_check(gamma: Mat2, xi: BoundaryPoint, eta: BoundaryPoint) -> float:
+    """Defect of the Gromov-product pairing identity at (gamma, xi, eta)."""
+    q = gamma.disk
+    return _pairing_defect(q, _raw(xi), _raw(eta), circle_image(q, xi.u), circle_image(q, eta.u))
 
 
 def recover_cocycle_from_C(
-    gamma: Mat2, x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint, images=None
+    gamma: Mat2, x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint
 ) -> float:
-    """Triple-difference recovery: half of h(gx,gy,gz) - h(x,y,z) equals B(gamma, x).
-
-    `images`, when given, is (gamma x, gamma y, gamma z) already computed."""
-    gx, gy, gz = images if images is not None else (act(gamma, x), act(gamma, y), act(gamma, z))
-    return 0.5 * (_h(gx, gy, gz) - _h(x, y, z))
+    """Triple-difference recovery: half of h(gx,gy,gz) - h(x,y,z) equals B(gamma, x)."""
+    pts = [_raw(p) for p in (x, y, z)]
+    return _recovered(*pts, *(circle_image(gamma.disk, u) for _, u in pts))
 
 
 def _hyperbolic_fixed_points(gamma: Mat2):
@@ -172,20 +208,46 @@ class CheckReport:
         return json.dumps({**asdict(self), "pass": self.passed}, sort_keys=True)
 
 
-def _random_point(rng: random.Random) -> BoundaryPoint:
-    return BoundaryPoint.from_angle(rng.uniform(0.0, 2.0 * math.pi))
-
-
-def _separated_points(rng, count):
+def _separated_points(rng: random.Random, count: int):
+    """`count` random (angle, unit complex) points, pairwise more than 1e-3
+    apart.  Each angle is rng.uniform(0, 2 pi) reduced mod 2 pi, the angle
+    of BoundaryPoint.from_angle, taken from rng.random() alone."""
+    rand = rng.random
     for _ in range(1000):
-        pts = [_random_point(rng) for _ in range(count)]
-        if all(
-            pts[i].angle_dist(pts[j]) > 1e-3
-            for i in range(count)
-            for j in range(i + 1, count)
-        ):
-            return pts
+        thetas = [(TWO_PI * rand()) % TWO_PI for _ in range(count)]
+        if all(angle_gap(s, t) > 1e-3 for s, t in combinations(thetas, 2)):
+            return [(t, cmath.exp(1j * t)) for t in thetas]
     raise BoundaryError("could not draw separated points")
+
+
+def _draw_word(rng: random.Random, letters, max_len: int) -> tuple:
+    """A reduced word of rng.randint(1, max_len) letters, each
+    rng.choice(letters) and redrawn when it cancels the one before.
+
+    randint and choice both draw through CPython's Random._randbelow(n):
+    k = n.bit_length() bits from getrandbits, drawn again while >= n.  That
+    is done here inline, so the same bits are taken as by randint and choice,
+    without their Python-level calls."""
+    getrandbits = rng.getrandbits
+    k = max_len.bit_length()
+    last = getrandbits(k)  # the word's length minus one
+    while last >= max_len:
+        last = getrandbits(k)
+    n = len(letters)
+    k = n.bit_length()
+    w = []
+    x = 0  # no letter is -0, so the first draw never cancels
+    while True:
+        i = getrandbits(k)
+        if i >= n:
+            continue
+        y = letters[i]
+        if y == -x:
+            continue
+        w.append(y)
+        if len(w) > last:
+            return tuple(w)
+        x = y
 
 
 def _worst(check: str, samples: int, tolerance: float, attempt) -> CheckReport:
@@ -232,19 +294,11 @@ def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]
     # as a sample.
 
     @cache
-    def element(w: tuple) -> tuple[Mat2, bool]:
+    def element(w: tuple) -> tuple[Mat2, bool, tuple]:
         m = sg.evaluate(w, rep)
-        return m, classify(m) is IsometryClass.HYPERBOLIC
+        return m, classify(m) is IsometryClass.HYPERBOLIC, m.disk
 
-    def word(max_len: int) -> tuple:
-        L = rng.randint(1, max_len)
-        w = []
-        while len(w) < L:
-            x = rng.choice(letters)
-            if w and w[-1] == -x:
-                continue
-            w.append(x)
-        return tuple(w)
+    word = partial(_draw_word, rng, letters)
 
     def hyperbolic(max_len: int) -> tuple:
         for _ in range(100):
@@ -257,7 +311,7 @@ def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]
     def pole_defects(w: tuple) -> tuple[float, float]:
         """Antisymmetry |B(g, g-) + B(g, g+)| and inverse-class equality
         |B(g^-1, (g^-1)+) - B(g, g+)| of a hyperbolic g."""
-        g, _ = element(w)
+        g = element(w)[0]
         gp, gm = g.fixed
         gi = g.inverse()
         gip, _ = fixed_points(gi)
@@ -277,36 +331,38 @@ def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]
         return max(min(dp for dp, _ in finals), min(dm for _, dm in finals))
 
     def cocycle():
-        g1, _ = element(word(3))
-        g2, _ = element(word(3))
-        xi = _random_point(rng)
-        return abs(busemann(g1 * g2, xi) - busemann(g1, act(g2, xi)) - busemann(g2, xi))
+        g1, _, q1 = element(word(3))
+        g2, _, q2 = element(word(3))
+        [(_, u)] = _separated_points(rng, 1)
+        gu = circle_image(q2, u)[1]
+        return abs(_busemann((g1 * g2).disk, u) - _busemann(q1, gu) - _busemann(q2, u))
 
     def pairing():
         # image separation enforced by rejection
-        g, _ = element(word(2))
-        xi, eta = _separated_points(rng, 2)
-        if act(g, xi).angle_dist(act(g, eta)) < 1e-5:
+        q = element(word(2))[2]
+        x, y = _separated_points(rng, 2)
+        gx, gy = circle_image(q, x[1]), circle_image(q, y[1])
+        if angle_gap(gx[0], gy[0]) < 1e-5:
             return None
-        return pairing_check(g, xi, eta)
+        return _pairing_defect(q, x, y, gx, gy)
 
     def recovery():
         # triple-difference recovery, aux-pair independence
-        g, _ = element(word(2))
+        q = element(word(2))[2]
         pts = _separated_points(rng, 5)
-        imgs = [act(g, p) for p in pts]
-        if any(imgs[i].angle_dist(imgs[j]) < 1e-5 for i in range(5) for j in range(i + 1, 5)):
+        imgs = [circle_image(q, u) for _, u in pts]
+        if any(angle_gap(s[0], t[0]) < 1e-5 for s, t in combinations(imgs, 2)):
             return None
         x, y, z, y2, z2 = pts
         gx, gy, gz, gy2, gz2 = imgs
-        r1 = recover_cocycle_from_C(g, x, y, z, images=(gx, gy, gz))
-        r2 = recover_cocycle_from_C(g, x, y2, z2, images=(gx, gy2, gz2))
-        b = busemann(g, x)
+        r1 = _recovered(x, y, z, gx, gy, gz)
+        r2 = _recovered(x, y2, z2, gx, gy2, gz2)
+        b = _busemann(q, x[1])
         return max(abs(r1 - b), abs(r2 - b), abs(r1 - r2))
 
     def step1():
-        g, _ = element(hyperbolic(3))
-        e, _ = element(word(3))
+        g = element(hyperbolic(3))[0]
+        e = element(word(3))[0]
         try:
             return step1_identity_check(lambda q: math.cos(q.theta), e, g)
         except DegenerateConfiguration:

@@ -19,6 +19,8 @@ EPS = 1e-9
 
 INF = math.inf
 
+TWO_PI = 2.0 * math.pi
+
 
 class MobiusError(Exception):
     pass
@@ -189,26 +191,23 @@ class BoundaryPoint:
 
     @classmethod
     def from_angle(cls, theta: float) -> "BoundaryPoint":
-        return cls(theta % (2.0 * math.pi))
+        return cls(theta % TWO_PI)
 
     @classmethod
     def from_real(cls, x) -> "BoundaryPoint":
         u = _real_to_circle(x)
-        return cls(math.atan2(u.imag, u.real) % (2.0 * math.pi))
+        return cls(math.atan2(u.imag, u.real) % TWO_PI)
 
-    @property
+    @cached_property
     def u(self) -> complex:
+        """The point as a unit complex number, computed on first use and kept."""
         return cmath.exp(1j * self.theta)
 
     def to_real(self) -> float:
         return _circle_to_real(self.u)
 
     def angle_dist(self, other: "BoundaryPoint") -> float:
-        d = abs(self.theta - other.theta) % (2.0 * math.pi)
-        return min(d, 2.0 * math.pi - d)
-
-    def chord_dist(self, other: "BoundaryPoint") -> float:
-        return abs(self.u - other.u)
+        return angle_gap(self.theta, other.theta)
 
 
 # Cayley transform as a det-1 complex matrix: (z - i)/(z + i) scaled by 1/(1+i).
@@ -234,10 +233,18 @@ def disk_matrix(m: Mat2) -> tuple[complex, complex, complex, complex]:
     return (qa, qb, qc, qd)
 
 
-def act(m: Mat2, xi: BoundaryPoint) -> BoundaryPoint:
-    """Fractional-linear action on the circle."""
-    qa, qb, qc, qd = m.disk
-    u = xi.u
+# ---------------------------------------------------------------------------
+# Float kernels of the boundary action.  A disk matrix q is the tuple of
+# `Mat2.disk`; a boundary point is its angle theta in [0, 2 pi) and its unit
+# complex u = exp(i theta).  `act`, `boundary_derivative` and
+# `BoundaryPoint.angle_dist` wrap these, and the cocycle suite calls them
+# directly on raw (theta, u) pairs.
+# ---------------------------------------------------------------------------
+
+def circle_image(q, u: complex) -> tuple[float, complex]:
+    """Image of the unit complex u under the disk matrix q, as (angle, unit
+    complex)."""
+    qa, qb, qc, qd = q
     den = qc * u + qd
     if abs(den) < 1e-300:
         # image of the pole is the point at infinity of the disk map; for
@@ -246,14 +253,31 @@ def act(m: Mat2, xi: BoundaryPoint) -> BoundaryPoint:
     else:
         w = (qa * u + qb) / den
     w = w / abs(w)
-    return BoundaryPoint(math.atan2(w.imag, w.real) % (2.0 * math.pi))
+    theta = math.atan2(w.imag, w.real) % TWO_PI
+    return theta, cmath.exp(1j * theta)
+
+
+def circle_derivative(q, u: complex) -> float:
+    """Conformal derivative 1/|q_c u + q_d|^2 of the disk matrix q at u."""
+    den = abs(q[2] * u + q[3])
+    return 1.0 / (den * den)
+
+
+def angle_gap(s: float, t: float) -> float:
+    """Distance along the circle between the angles s and t."""
+    d = abs(s - t) % TWO_PI
+    e = TWO_PI - d
+    return e if e < d else d
+
+
+def act(m: Mat2, xi: BoundaryPoint) -> BoundaryPoint:
+    """Fractional-linear action on the circle."""
+    return BoundaryPoint(circle_image(m.disk, xi.u)[0])
 
 
 def boundary_derivative(m: Mat2, xi: BoundaryPoint) -> float:
     """Conformal derivative |m'(xi)| on the circle (disk model)."""
-    _, _, qc, qd = m.disk
-    den = abs(qc * xi.u + qd)
-    return 1.0 / (den * den)
+    return circle_derivative(m.disk, xi.u)
 
 
 def act_real(m: Mat2, x):

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 import random
@@ -7,6 +8,7 @@ import pytest
 import speclab.boundary as boundary
 from speclab.boundary import (
     BoundaryError,
+    CheckReport,
     CoincidentPoints,
     DegenerateConfiguration,
     busemann,
@@ -19,15 +21,22 @@ from speclab.boundary import (
     run_all_checks,
     step1_identity_check,
 )
-from speclab.fricke import schottky_sample
+from speclab.fricke import punctured_torus_sample, schottky_sample
 from speclab.mobius import (
     BoundaryPoint,
+    IsometryClass,
     Mat2,
     act,
+    angle_gap,
+    boundary_derivative,
+    circle_derivative,
+    circle_image,
+    classify,
     fixed_points,
     identity,
     translation_length,
 )
+from speclab.spectrum import modular_torus_rep
 import speclab.surface_group as sg
 
 
@@ -280,7 +289,7 @@ def test_run_all_checks_evaluates_each_word_once(rank, words, samples, monkeypat
 
 def test_rejection_cap_pairing(monkeypatch):
     # every image coincides, so the pairing check rejects every draw
-    monkeypatch.setattr(boundary, "act", lambda m, xi: BoundaryPoint(1.0))
+    monkeypatch.setattr(boundary, "circle_image", lambda q, u: (1.0, cmath.exp(1j)))
     with pytest.raises(BoundaryError, match=r"^pairing_identity: 400 of 400 draws rejected"):
         run_all_checks(REP, seed=3, samples=4)
 
@@ -301,7 +310,7 @@ def test_rejection_cap_c_recovery(monkeypatch):
 
     def coincident(rng, count):
         pts = separated(rng, count)
-        return [BoundaryPoint(1.0)] * count if count == 5 else pts
+        return [(1.0, cmath.exp(1j))] * count if count == 5 else pts
 
     monkeypatch.setattr(boundary, "_separated_points", coincident)
     with pytest.raises(BoundaryError, match=r"^c_determines_cocycle: 400 of 400 draws rejected"):
@@ -320,3 +329,160 @@ def test_run_all_checks_single_sample():
         "northsouth_limits",
     ]
     assert all(r.samples == 1 for r in reports)
+
+
+# -- oracles for the raw-float suite -----------------------------------------
+
+def _reference_word(rng, letters, max_len):
+    L = rng.randint(1, max_len)
+    w = []
+    while len(w) < L:
+        x = rng.choice(letters)
+        if not (w and w[-1] == -x):
+            w.append(x)
+    return tuple(w)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@pytest.mark.parametrize("max_len", [1, 2, 3])
+def test_draw_word_takes_the_bits_of_randint_and_choice(rank, max_len):
+    letters = [*range(1, rank + 1), *range(-1, -rank - 1, -1)]
+    ours, theirs = random.Random(100 * rank + max_len), random.Random(100 * rank + max_len)
+    drawn = [boundary._draw_word(ours, letters, max_len) for _ in range(10**4)]
+    assert drawn == [_reference_word(theirs, letters, max_len) for _ in range(10**4)]
+    assert ours.getstate() == theirs.getstate()
+
+
+def _reference_checks(rep, seed, samples):
+    """run_all_checks on BoundaryPoint objects through the public functions,
+    with words from randint and choice and no caches."""
+    rng = random.Random(seed)
+    rank = rep.presentation.free_rank
+    letters = [*range(1, rank + 1), *range(-1, -rank - 1, -1)]
+
+    def element(max_len):
+        return sg.evaluate(_reference_word(rng, letters, max_len), rep)
+
+    def hyperbolic(max_len):
+        for _ in range(100):
+            g = element(max_len)
+            if classify(g) is IsometryClass.HYPERBOLIC:
+                return g
+        raise BoundaryError("no hyperbolic element found")
+
+    def point():
+        return BoundaryPoint.from_angle(rng.uniform(0.0, 2.0 * math.pi))
+
+    def separated(count):
+        for _ in range(1000):
+            pts = [point() for _ in range(count)]
+            if all(p.angle_dist(q) > 1e-3 for i, p in enumerate(pts) for q in pts[i + 1:]):
+                return pts
+        raise BoundaryError("could not draw separated points")
+
+    def worst(check, tolerance, attempt):
+        worst, done = 0.0, 0
+        while done < samples:
+            d = attempt()
+            if d is not None:
+                worst, done = max(worst, d), done + 1
+        return CheckReport(check, samples, worst, tolerance)
+
+    def cocycle():
+        g1, g2, xi = element(3), element(3), point()
+        return abs(busemann(g1 * g2, xi) - busemann(g1, act(g2, xi)) - busemann(g2, xi))
+
+    def pairing():
+        g = element(2)
+        xi, eta = separated(2)
+        if act(g, xi).angle_dist(act(g, eta)) < 1e-5:
+            return None
+        return pairing_check(g, xi, eta)
+
+    def recovery():
+        g = element(2)
+        x, y, z, y2, z2 = pts = separated(5)
+        imgs = [act(g, p) for p in pts]
+        if any(p.angle_dist(q) < 1e-5 for i, p in enumerate(imgs) for q in imgs[i + 1:]):
+            return None
+        r1 = recover_cocycle_from_C(g, x, y, z)
+        r2 = recover_cocycle_from_C(g, x, y2, z2)
+        b = busemann(g, x)
+        return max(abs(r1 - b), abs(r2 - b), abs(r1 - r2))
+
+    def step1():
+        g, e = hyperbolic(3), element(3)
+        try:
+            return step1_identity_check(lambda q: math.cos(q.theta), e, g)
+        except DegenerateConfiguration:
+            return None
+
+    def limits():
+        g = hyperbolic(1)
+        try:
+            rows = northsouth_limits(element(1), g, n_max=25, n_min=23)
+        except DegenerateConfiguration:
+            return 0.0
+        finals = [(dp, dm) for _, dp, dm in rows if dp is not None]
+        if not finals:
+            return 0.0
+        return max(min(dp for dp, _ in finals), min(dm for _, dm in finals))
+
+    reports = [worst("cocycle_identity", 1e-9, cocycle), worst("pairing_identity", 1e-8, pairing)]
+    anti, inv = 0.0, 0.0
+    for _ in range(samples):
+        g = hyperbolic(3)
+        gp, gm = fixed_points(g)
+        gi = g.inverse()
+        gip, _ = fixed_points(gi)
+        anti = max(anti, abs(busemann(g, gm) + busemann(g, gp)))
+        inv = max(inv, abs(busemann(gi, gip) - busemann(g, gp)))
+    reports.append(CheckReport("antisymmetry_at_poles", samples, anti, 1e-8))
+    reports.append(CheckReport("inverse_class_equality", samples, inv, 1e-8))
+    reports += [
+        worst("c_determines_cocycle", 1e-7, recovery),
+        worst("step1_coboundary_identity", 1e-12, step1),
+        worst("northsouth_limits", 1e-6, limits),
+    ]
+    return reports
+
+
+@pytest.mark.parametrize(
+    "make_rep,seed",
+    [
+        (lambda: schottky_sample(11, 3), 11),
+        (lambda: schottky_sample(12, 4), 12),
+        (modular_torus_rep, 13),
+        (lambda: punctured_torus_sample(3), 3),
+    ],
+    ids=["schottky-rank3", "schottky-rank4", "modular-torus", "punctured-torus"],
+)
+def test_run_all_checks_matches_object_level_reference(make_rep, seed):
+    rep = make_rep()
+    ours = [r.to_json() for r in run_all_checks(rep, seed=seed, samples=300)]
+    assert ours == [r.to_json() for r in _reference_checks(rep, seed, 300)]
+
+
+def test_wrappers_equal_the_float_kernels():
+    a, b = REP.matrix(1), REP.matrix(2)
+    mats = [a, b.inverse(), a * b, modular_torus_rep().matrix(1)]
+    angles = [2.0 * math.pi * k / 97 for k in range(97)]
+    angles += [0.0, 1e-12, math.pi, 2.0 * math.pi - 1e-12]
+    for m in mats:
+        q = m.disk
+        for t in angles:
+            xi = _pt(t)
+            assert xi.u == cmath.exp(1j * xi.theta) and xi.u is xi.u
+            theta, u = circle_image(q, xi.u)
+            image = act(m, xi)
+            assert (image.theta, image.u) == (theta, u)
+            assert boundary_derivative(m, xi) == circle_derivative(q, xi.u)
+            assert busemann(m, xi) == -math.log(circle_derivative(q, xi.u))
+    for s in angles:
+        for t in angles[::7]:
+            x, y = _pt(s), _pt(t)
+            d = abs(x.theta - y.theta) % (2.0 * math.pi)
+            assert x.angle_dist(y) == angle_gap(x.theta, y.theta) == min(d, 2.0 * math.pi - d)
+            if angle_gap(x.theta, y.theta) >= boundary.SEPARATION_FLOOR:
+                c = abs(x.u - y.u)
+                assert cross_term(x, y) == -math.log(c * c / 4.0)

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import os
@@ -120,7 +121,7 @@ def test_rmin_rejects_zero_samples_given_a_single_word(capsys):
 
 def test_cocycle_verify_rejection_cap_is_input_error(monkeypatch, capsys):
     # every image coincides, so the pairing check rejects every draw
-    monkeypatch.setattr(boundary, "act", lambda m, xi: boundary.BoundaryPoint(1.0))
+    monkeypatch.setattr(boundary, "circle_image", lambda q, u: (1.0, cmath.exp(1j)))
     assert main(["cocycle-verify", "--seed", "7", "--samples", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
