@@ -31,6 +31,11 @@ _FIELD = 32
 _FIELD_MASK = (1 << _FIELD) - 1
 
 
+def _var(mask: int) -> Monomial:
+    """The monomial t_S of the subset bitmask S."""
+    return 1 << (_FIELD * (mask - 1))
+
+
 def _factors(mono: Monomial) -> tuple[tuple[int, int], ...]:
     """((mask, exponent), ...) of a monomial, ascending by mask."""
     out = []
@@ -63,7 +68,7 @@ class TracePoly:
 
     @classmethod
     def var(cls, mask: int) -> "TracePoly":
-        return cls({1 << (_FIELD * (mask - 1)): 1})
+        return cls({_var(mask): 1})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TracePoly) and self.terms == other.terms
@@ -138,16 +143,24 @@ class TracePoly:
 
 def _canonical_trace_key(w: sg.Word) -> sg.Word:
     """Minimal representative under cyclic rotation and inversion (both are
-    trace-preserving), used as the memo key.  Candidates with fewer inverse
+    trace-preserving), used as the memo key."""
+    return _class_trace_key(sg.least_rotation(w))
+
+
+def _class_trace_key(w: sg.Word) -> sg.Word:
+    """_canonical_trace_key of a word that is already a cyclically reduced
+    least rotation, as a ConjClassKey's is.  Candidates with fewer inverse
     letters win so canonicalization never increases the rewriting measure;
-    among those, the least rotation in letter order wins."""
+    among those, the least rotation in letter order wins.  w stands for its
+    own rotations, so only w^-1 is rotated, and only when it may win."""
     n = len(w)
     neg = sum(1 for x in w if x < 0)
     if 2 * neg < n:
-        return sg.least_rotation(w)
+        return w
+    inv = sg.least_rotation(sg.invert(w))
     if 2 * neg > n:
-        return sg.least_rotation(sg.invert(w))
-    return min(sg.least_rotation(w), sg.least_rotation(sg.invert(w)), key=sg.letter_code)
+        return inv
+    return min(w, inv, key=sg.letter_code)
 
 
 def _measure(w: sg.Word) -> tuple[int, int, int]:
@@ -164,19 +177,35 @@ def _measure(w: sg.Word) -> tuple[int, int, int]:
     return (len(w), neg, inv)
 
 
+def _add_shifted(out: dict[Monomial, int], p: TracePoly, sign: int, mono: Monomial = 0) -> None:
+    """out += sign * mono * p, in place; zero coefficients are left in."""
+    get = out.get
+    if mono:
+        for m, c in p.terms.items():
+            m += mono
+            out[m] = get(m, 0) + sign * c
+    else:
+        # no shift: keep p's monomial ints rather than make new equal ones
+        for m, c in p.terms.items():
+            out[m] = get(m, 0) + sign * c
+
+
 class _Rewriter:
     def __init__(self, m: int):
         self.m = m
         self.memo: dict[sg.Word, TracePoly] = {}
 
+    def check(self, w: sg.Word) -> None:
+        if any(not 0 < abs(x) <= self.m for x in w):
+            raise ValueError(f"word uses generators beyond rank {self.m}")
+
     def trace(self, w) -> TracePoly:
         w = sg.cyclic_reduce(w)
-        if any(abs(x) > self.m for x in w):
-            raise ValueError(f"word uses generators beyond rank {self.m}")
-        return self._trace_reduced(w)
+        self.check(w)
+        return self.keyed(_canonical_trace_key(w))
 
-    def _trace_reduced(self, w: sg.Word) -> TracePoly:
-        key = _canonical_trace_key(w)
+    def keyed(self, key: sg.Word) -> TracePoly:
+        """The polynomial of a memo key whose letters are checked."""
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -184,26 +213,34 @@ class _Rewriter:
         self.memo[key] = result
         return result
 
-    def _child(self, parent_measure, w) -> TracePoly:
+    def _child(self, parent: sg.Word, w) -> TracePoly:
+        """tr(w) for a word w that a rewrite step of parent produced.
+
+        The step must strictly decrease (length, inverse letters, index
+        inversions); lengths decide unless they are equal."""
         w = sg.cyclic_reduce(w)
-        assert _measure(w) < parent_measure, (w, parent_measure)
-        return self._trace_reduced(w)
+        if len(w) > len(parent) or (len(w) == len(parent) and _measure(w) >= _measure(parent)):
+            raise RuntimeError(f"rewriting {parent} produced {w}, which does not decrease the measure")
+        return self.keyed(_canonical_trace_key(w))
 
     def _rewrite(self, w: sg.Word) -> TracePoly:
+        """One trace identity applied to the memo key w, summed into one term
+        dict: multiplying by t_S adds its monomial to every term."""
         n = len(w)
         if n == 0:
             return TracePoly.const(2)
         if n == 1:
             return TracePoly.var(1 << (abs(w[0]) - 1))
-        meas = _measure(w)
+        out: dict[Monomial, int] = {}
 
         # 1. eliminate inverse letters: tr(U s^-1) = tr(U) tr(s) - tr(U s)
         for k in range(n):
             if w[k] < 0:
                 i = -w[k]
                 U = w[k + 1 :] + w[:k]
-                t_i = TracePoly.var(1 << (i - 1))
-                return self._child(meas, U) * t_i - self._child(meas, U + (i,))
+                _add_shifted(out, self._child(w, U), 1, _var(1 << (i - 1)))
+                _add_shifted(out, self._child(w, U + (i,)), -1)
+                return TracePoly(out)
 
         # 2. eliminate cyclically adjacent squares: tr(s s V) = tr(s) tr(s V) - tr(V)
         for k in range(n):
@@ -211,8 +248,9 @@ class _Rewriter:
                 i = w[k]
                 rot = w[k:] + w[:k]  # square in front, remainder follows
                 V = rot[2:]
-                t_i = TracePoly.var(1 << (i - 1))
-                return t_i * self._child(meas, (i,) + V) - self._child(meas, V)
+                _add_shifted(out, self._child(w, (i,) + V), 1, _var(1 << (i - 1)))
+                _add_shifted(out, self._child(w, V), -1)
+                return TracePoly(out)
 
         # 3. split a repeated letter: tr(s U s V) = tr(sU) tr(sV) - tr(U V^-1)
         positions: dict[int, int] = {}
@@ -224,9 +262,15 @@ class _Rewriter:
                 q = k - p
                 U = rot[1:q]
                 V = rot[q + 1 :]
-                return self._child(meas, (i,) + U) * self._child(meas, (i,) + V) - self._child(
-                    meas, U + sg.invert(V)
-                )
+                get = out.get
+                left = self._child(w, (i,) + U).terms
+                right = self._child(w, (i,) + V).terms
+                for m1, c1 in left.items():
+                    for m2, c2 in right.items():
+                        key = m1 + m2
+                        out[key] = get(key, 0) + c1 * c2
+                _add_shifted(out, self._child(w, U + sg.invert(V)), -1)
+                return TracePoly(out)
             positions[i] = k
 
         # 4. distinct positive letters: sort toward the ascending basis word
@@ -241,29 +285,34 @@ class _Rewriter:
             for x in w:
                 mask |= 1 << (x - 1)
             return TracePoly.var(mask)
+        # tr(MabN) = -tr(MbaN) + t_b tr(MaN) + t_a tr(MbN) + (t_ab - t_a t_b) tr(MN)
         a, b = w[descent], w[descent + 1]
         M = w[:descent]
         N = w[descent + 2 :]
-        t_a = TracePoly.var(1 << (a - 1))
-        t_b = TracePoly.var(1 << (b - 1))
-        t_ab = TracePoly.var((1 << (a - 1)) | (1 << (b - 1)))
-        return (
-            -self._child(meas, M + (b, a) + N)
-            + t_b * self._child(meas, M + (a,) + N)
-            + t_a * self._child(meas, M + (b,) + N)
-            + (t_ab - t_a * t_b) * self._child(meas, M + N)
-        )
+        t_a = _var(1 << (a - 1))
+        t_b = _var(1 << (b - 1))
+        _add_shifted(out, self._child(w, M + (b, a) + N), -1)
+        _add_shifted(out, self._child(w, M + (a,) + N), 1, t_b)
+        _add_shifted(out, self._child(w, M + (b,) + N), 1, t_a)
+        mn = self._child(w, M + N)
+        _add_shifted(out, mn, 1, _var((1 << (a - 1)) | (1 << (b - 1))))
+        _add_shifted(out, mn, -1, t_a + t_b)
+        return TracePoly(out)
 
 
 _rewriters: dict[int, _Rewriter] = {}
 
 
-def trace_poly(w, m: int) -> TracePoly:
-    """Universal polynomial with tr(phi(w)) = P_w(characters) for all SL2 phi."""
+def _rewriter(m: int) -> _Rewriter:
     rw = _rewriters.get(m)
     if rw is None:
         rw = _rewriters[m] = _Rewriter(m)
-    return rw.trace(tuple(w))
+    return rw
+
+
+def trace_poly(w, m: int) -> TracePoly:
+    """Universal polynomial with tr(phi(w)) = P_w(characters) for all SL2 phi."""
+    return _rewriter(m).trace(tuple(w))
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +378,24 @@ def rmin_key(p: TracePoly) -> tuple:
 
 
 def rmin_blocks(classes, m: int) -> dict[tuple, list]:
-    """Classes grouped by R_min key, blocks in first-seen order."""
+    """Classes grouped by R_min key, blocks in first-seen order.
+
+    Each class key's word must be a cyclically reduced least rotation, as
+    enumerate_classes and canonical_class make it.  A class and its inverse
+    share a memo key, so their polynomial and R_min key are found once."""
+    rw = _rewriter(m)
+    by_memo_key: dict[sg.Word, list] = {}
     blocks: dict[tuple, list] = {}
-    for key in classes:
-        blocks.setdefault(rmin_key(trace_poly(key.word, m)), []).append(key)
+    for cls in classes:
+        key = _class_trace_key(cls.word)
+        block = by_memo_key.get(key)
+        if block is None:
+            if key not in rw.memo:
+                # memo keys have checked letters, and so have their
+                # children; only a new key needs checking
+                rw.check(key)
+            block = by_memo_key[key] = blocks.setdefault(rmin_key(rw.keyed(key)), [])
+        block.append(cls)
     return blocks
 
 

@@ -88,12 +88,16 @@ def letter_code(w) -> list[int]:
 
 def least_rotation(w: Word) -> Word:
     """Least rotation of w in letter order.  A least rotation starts at a
-    least letter, so only those rotations are compared."""
+    least letter, so only those rotations are compared, and none when the
+    least letter occurs once."""
     n = len(w)
     if n < 2:
         return w
     code = letter_code(w)
     lo = min(code)
+    if code.count(lo) == 1:
+        k = code.index(lo)
+        return w[k:] + w[:k]
     twice = code + code
     best = min((k for k in range(n) if code[k] == lo), key=lambda k: twice[k : k + n])
     return w[best:] + w[:best]

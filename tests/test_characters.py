@@ -3,15 +3,19 @@ import random
 
 import pytest
 
+import speclab.characters as characters
 from speclab.characters import (
     RminVerdict,
     TracePoly,
     _canonical_trace_key,
+    _class_trace_key,
+    _Rewriter,
     _factors,
     basis_word,
     character_values,
     eval_trace_poly,
     random_exact_rep,
+    rmin_blocks,
     rmin_key,
     rmin_pairs,
     rmin_test,
@@ -212,7 +216,7 @@ def test_rmin_partition_matches_squared_text_oracle(m, maxlen):
     assert {frozenset(f) for f in flagged} == _squared_flagged(oracle, m, 3, 2)
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_canonical_trace_key_rotation_and_inversion_invariant(m):
     def old_key(w):
         # reference: every rotation of w and w^-1, least by
@@ -220,9 +224,10 @@ def test_canonical_trace_key_rotation_and_inversion_invariant(m):
         cands = _rotations(w) + _rotations(sg.invert(w))
         return min(cands, key=lambda v: (sum(x < 0 for x in v), [(abs(x), x < 0) for x in v]))
 
-    for k in sg.enumerate_classes(sg.Presentation(1, m - 1), 6):
+    for k in sg.enumerate_classes(sg.Presentation(1, m - 1), 6 if m < 4 else 4):
         key = _canonical_trace_key(k.word)
         assert key == old_key(k.word)
+        assert _class_trace_key(k.word) == key
         for v in _rotations(k.word) + _rotations(sg.invert(k.word)):
             assert _canonical_trace_key(v) == key
 
@@ -311,3 +316,66 @@ def test_trace_fingerprint_flags_match_polynomial_evaluation(m, maxlen):
     for seed, n_reps in ((1, 16), (3, 1), (3, 2), (5, 3)):
         partition, flagged = rmin_pairs(classes, m, seed=seed, n_reps=n_reps)
         assert flagged == _evaluated_flags(partition, m, seed, n_reps)
+
+
+# -- R_min straight from class keys --------------------------------------------
+
+def _per_class_blocks(classes, m):
+    """Oracle: every class through trace_poly, grouped by rmin_key."""
+    blocks = {}
+    for k in classes:
+        blocks.setdefault(rmin_key(trace_poly(k.word, m)), []).append(k)
+    return blocks
+
+
+def _class_lists(m, maxlen):
+    classes = sg.enumerate_classes(sg.Presentation(1, m - 1), maxlen)
+    shuffled = list(classes)
+    random.Random(m * 100 + maxlen).shuffle(shuffled)
+    one_of_each = [k for k in classes if k <= sg.canonical_class(sg.invert(k.word))]
+    return {"sorted": classes, "shuffled": shuffled, "one_of_each": one_of_each}
+
+
+@pytest.mark.parametrize("m,maxlen", [(2, 8), (3, 5), (4, 4)])
+def test_rmin_blocks_match_per_class_trace_poly(monkeypatch, m, maxlen):
+    for name, classes in _class_lists(m, maxlen).items():
+        # each side starts from a cold memo of its own
+        monkeypatch.setattr(characters, "_rewriters", {})
+        expected = _per_class_blocks(classes, m)
+        oracle_memo = characters._rewriters[m].memo
+        monkeypatch.setattr(characters, "_rewriters", {})
+        got = rmin_blocks(classes, m)
+        assert list(got.items()) == list(expected.items()), name
+        # the same memo keys, so rank >= 3 keeps its representatives
+        # modulo the t123 relation
+        assert characters._rewriters[m].memo == oracle_memo, name
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("word", [(1, 3), (3,), (1, 0)])
+def test_rmin_rejects_letters_beyond_rank(monkeypatch, warm, word):
+    monkeypatch.setattr(characters, "_rewriters", {})
+    if warm:
+        rmin_blocks(sg.enumerate_classes(F2, 4), 2)
+    bad = [sg.ConjClassKey((1,)), sg.ConjClassKey(word)]
+    with pytest.raises(ValueError, match="beyond rank 2"):
+        rmin_blocks(bad, 2)
+    with pytest.raises(ValueError, match="beyond rank 2"):
+        rmin_pairs(bad, 2)
+    assert all(all(0 < abs(x) <= 2 for x in key) for key in characters._rewriters[2].memo)
+
+
+def test_trace_poly_rejects_letters_beyond_rank():
+    with pytest.raises(ValueError, match=r"^word uses generators beyond rank 2$"):
+        trace_poly((3,), 2)
+    with pytest.raises(sg.WordError, match="letter 0"):
+        trace_poly((1, 0), 2)
+
+
+@pytest.mark.parametrize(
+    "parent,child",
+    [((1, 2), (1, 1, 2)), ((1, 2), (2, 1)), ((1, -2), (1, 2, -1, -2))],
+)
+def test_rewrite_guard_rejects_non_decreasing_child(parent, child):
+    with pytest.raises(RuntimeError, match="does not decrease"):
+        _Rewriter(2)._child(parent, child)

@@ -18,6 +18,7 @@ from speclab.surface_group import (
     free_reduce,
     invert,
     least_rotation,
+    letter_code,
     parse_word,
     relator,
 )
@@ -156,6 +157,44 @@ def test_least_rotation_matches_naive():
         letters = [1, -1, 2, -2, 3, -3][: rng.choice((1, 2, 4, 6))]
         w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
         assert least_rotation(w) == _naive_least_rotation(w)
+
+
+def _reduced_words(letters, length):
+    """Every freely reduced word of the given length over letters."""
+    words = [()]
+    for _ in range(length):
+        words = [w + (x,) for w in words for x in letters if not w or w[-1] != -x]
+    return words
+
+
+def _least_rotation_by_code(w):
+    return min((w[i:] + w[:i] for i in range(len(w))), key=letter_code, default=w)
+
+
+def test_least_rotation_all_short_rank2_words():
+    for n in range(7):
+        for w in _reduced_words([1, -1, 2, -2], n):
+            assert least_rotation(w) == _least_rotation_by_code(w)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_least_rotation_seeded_words(m):
+    rng = random.Random(m)
+    letters = [x for k in range(1, m + 1) for x in (k, -k)]
+    repeats = 0
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        if rng.random() < 0.5:
+            # a short block repeated: the least letter occurs more than once
+            block = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+            w = (block * n)[:n]
+        else:
+            w = tuple(rng.choice(letters) for _ in range(n))
+        w = free_reduce(w)
+        code = letter_code(w)
+        repeats += bool(code) and code.count(min(code)) > 1
+        assert least_rotation(w) == _least_rotation_by_code(w)
+    assert repeats > 500
 
 
 def test_evaluate_trivial_cases():
