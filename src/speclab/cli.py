@@ -46,7 +46,7 @@ def _indented_list(items: list[str], indent: str) -> str:
 
 
 def _out(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -100,7 +100,7 @@ def cmd_pattern(args) -> int:
         _indented_list([_json_str(fmt(cs[i].word)) for i in block], "    ")
         for block in p.position_blocks()
     ]
-    digest, tolerance = s.rep_digest, _fmt(p.tolerance)
+    digest, tolerance = s.rep_digest, _fmt(args.tolerance)
     del s, p, cs  # the spectrum is freed before the output text is built
     # the text of json.dumps({"blocks", "rep_digest", "tolerance"}, indent=2, sort_keys=True)
     _out(
@@ -190,59 +190,54 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="speclab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--rank", type=int, default=2, help="free rank m (default 2)")
-        p.add_argument("--maxlen", type=int, default=6)
-        p.add_argument("--seed", type=int, required=False, default=None)
+    shared = {
+        "rank": dict(type=int, default=2, help="free rank m (default 2)"),
+        "maxlen": dict(type=int, default=6),
+        "seed": dict(type=int, default=None),
+    }
+
+    def command(name, fn, help, options, needs_seed=False):
+        """A subcommand with the shared options its fn reads (names joined by
+        spaces in `options`), then --output and --config.  A randomized
+        command needs_seed: its --seed is mandatory."""
+        p = sub.add_parser(name, help=help)
+        for option in options.split():
+            p.add_argument("--" + option, **shared[option])
         p.add_argument("--output", type=str, default=None)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.set_defaults(parser=p)
+        p.set_defaults(fn=fn, parser=p, needs_seed=needs_seed)
+        return p
 
-    p = sub.add_parser("sample", help="emit a certified discrete rep")
-    common(p)
-    p.set_defaults(fn=cmd_sample, needs_seed=True)
+    command("sample", cmd_sample, "emit a certified discrete rep", "rank seed", True)
 
-    p = sub.add_parser("spectrum", help="class / trace / length table")
-    common(p)
+    p = command("spectrum", cmd_spectrum, "class / trace / length table", "rank maxlen seed")
     p.add_argument("--rep-file", type=str, default=None)
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p.set_defaults(fn=cmd_spectrum, needs_seed=False)
 
-    p = sub.add_parser("pattern", help="equal-length blocks")
-    common(p)
+    p = command("pattern", cmd_pattern, "equal-length blocks", "rank maxlen seed")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--rep-file", type=str, default=None)
-    p.set_defaults(fn=cmd_pattern, needs_seed=False)
 
-    p = sub.add_parser("compare", help="sub-relation report for two reps")
-    common(p)
+    p = command("compare", cmd_compare, "sub-relation report for two reps", "maxlen")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--rep-file", type=str, required=True)
     p.add_argument("--other", type=str, required=True)
-    p.set_defaults(fn=cmd_compare, needs_seed=False)
 
-    p = sub.add_parser("tracepoly", help="canonical character polynomial of a word")
-    common(p)
+    p = command("tracepoly", cmd_tracepoly, "canonical character polynomial of a word", "rank")
     p.add_argument("--word", type=str, required=True)
-    p.set_defaults(fn=cmd_tracepoly, needs_seed=False)
 
-    p = sub.add_parser("rmin", help="pairwise minimal-relation verdicts")
-    common(p)
+    p = command("rmin", cmd_rmin, "pairwise minimal-relation verdicts", "rank seed", True)
     p.add_argument("--samples", type=int, default=16)
     p.add_argument("words", nargs="+")
-    p.set_defaults(fn=cmd_rmin, needs_seed=True)
 
-    p = sub.add_parser("scan", help="genericity experiment")
-    common(p)
+    p = command("scan", cmd_scan, "genericity experiment", "rank maxlen seed", True)
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--arithmetic-point", action="store_true")
-    p.set_defaults(fn=cmd_scan, needs_seed=True)
 
-    p = sub.add_parser("cocycle-verify", help="run the B-cocycle identity suite")
-    common(p)
+    p = command("cocycle-verify", cmd_cocycle_verify, "run the B-cocycle identity suite",
+                "rank seed", True)
     p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(fn=cmd_cocycle_verify, needs_seed=True)
 
     return ap
 
@@ -280,7 +275,7 @@ def main(argv=None) -> int:
             command = args.parser
             command.set_defaults(**_config_defaults(command, args.config))
             args = ap.parse_args(argv)
-        if getattr(args, "needs_seed", False) and args.seed is None:
+        if args.needs_seed and args.seed is None:
             raise SystemExit2("--seed is mandatory for randomized commands")
         return args.fn(args)
     except (
@@ -289,7 +284,7 @@ def main(argv=None) -> int:
         fricke.FrickeError,
         sg.WordError,
         SpectrumError,
-        FileNotFoundError,
+        OSError,
         json.JSONDecodeError,
         ValueError,
     ) as exc:

@@ -59,6 +59,8 @@ class FrickeVector:
 
     def __post_init__(self):
         g, n = self.genus, self.punctures
+        if g < 1:
+            raise FrickeError(f"need genus >= 1 (first handle pair), got {g}")
         if n < 1:
             raise FrickeError(f"need at least one puncture, got {n}")
         expected = 6 * (g - 1) + 2 * n
@@ -212,12 +214,9 @@ def _first_pair(a, b, c, d):
     return alpha1, beta1
 
 
-def rep_from_fricke(g: int, n: int, v: FrickeVector) -> SurfaceRep:
+def rep_from_fricke(v: FrickeVector) -> SurfaceRep:
     """Build the normalized representation determined by a Fricke vector."""
-    if g < 1:
-        raise FrickeError("construction needs genus >= 1 (first handle pair)")
-    if (v.genus, v.punctures) != (g, n):
-        raise FrickeError("vector shape does not match (g, n)")
+    g, n = v.genus, v.punctures
     handles = [_handle_matrices(v.handle(i)) for i in range(2, g + 1)]
     punct = [_puncture_matrix(*v.puncture(j)) for j in range(1, n + 1)]
     partial = identity()

@@ -77,16 +77,15 @@ class Pattern:
     classes: tuple  # of ConjClassKey
     order: array
     ends: array
-    tolerance: float
 
     @classmethod
-    def from_blocks(cls, classes: tuple, blocks, tolerance: float) -> "Pattern":
+    def from_blocks(cls, classes: tuple, blocks) -> "Pattern":
         """A pattern from its blocks, each an iterable of class positions."""
         order, ends = array("l"), array("l")
         for block in blocks:
             order.extend(block)
             ends.append(len(order))
-        return cls(classes, order, ends, tolerance)
+        return cls(classes, order, ends)
 
     @property
     def n_blocks(self) -> int:
@@ -129,14 +128,14 @@ def pattern(s: LengthSpectrum, tol: float = 1e-9) -> Pattern:
         groups: dict = {}
         for i, t in enumerate(s.traces):
             groups.setdefault(t, []).append(i)
-        return Pattern.from_blocks(s.classes, (groups[t] for t in sorted(groups)), 0.0)
+        return Pattern.from_blocks(s.classes, (groups[t] for t in sorted(groups)))
     lengths = s.lengths
     order = sorted(range(len(lengths)), key=lengths.__getitem__)
     # a block ends wherever the gap to the next length is not within tol
     ends = [k for k in range(1, len(order)) if not lengths[order[k]] - lengths[order[k - 1]] <= tol]
     if order:
         ends.append(len(order))
-    return Pattern(s.classes, array("l", order), array("l", ends), tol)
+    return Pattern(s.classes, array("l", order), array("l", ends))
 
 
 def _labels_along(p: Pattern, classes: tuple):
@@ -170,7 +169,7 @@ def rmin_pattern(classes, m: int) -> Pattern:
     classes = tuple(classes)
     position = {key: i for i, key in enumerate(classes)}
     blocks = characters.rmin_blocks(classes, m).values()
-    return Pattern.from_blocks(classes, (map(position.__getitem__, v) for v in blocks), 0.0)
+    return Pattern.from_blocks(classes, (map(position.__getitem__, v) for v in blocks))
 
 
 def scan_generic(
@@ -221,13 +220,12 @@ def scan_generic(
         for retry in range(8):
             try:
                 rep = schottky_sample(trial_seed + retry * 7919, m)
-                record = one_trial(i, rep, trial_seed)
                 break
-            except (SpectrumError, SamplingFailed):
+            except SamplingFailed:
                 continue
         else:
             raise SpectrumError(f"trial {i} (seed {trial_seed}): all 8 draws failed")
-        yield record
+        yield one_trial(i, rep, trial_seed)
 
 
 def modular_torus_rep() -> SurfaceRep:

@@ -82,7 +82,7 @@ def test_a2_fricke_reconstruction(acceptance):
     for seed in range(n):
         rep = punctured_torus_sample(seed)
         v = fricke_from_rep(rep)
-        rebuilt = rep_from_fricke(1, 1, v)
+        rebuilt = rep_from_fricke(v)
         worst_relator = max(worst_relator, rebuilt.validity.relator_defect)
         for k in range(1, rep.presentation.num_generators + 1):
             worst_trace = max(

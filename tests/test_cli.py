@@ -144,6 +144,22 @@ def test_missing_file_is_input_error():
     assert main(["spectrum", "--rep-file", "/nonexistent/rep.json"]) == 1
 
 
+@pytest.mark.parametrize("option", ["--config", "--rep-file", "--other", "--output"])
+def test_directory_path_is_input_error(option, tmp_path, capsys):
+    rep_path = str(tmp_path / "rep.json")
+    assert main(["sample", "--seed", "1", "--output", rep_path]) == 0
+    directory = str(tmp_path)
+    argv = {
+        "--config": ["spectrum", "--seed", "1", "--maxlen", "2", "--config", directory],
+        "--rep-file": ["spectrum", "--rep-file", directory, "--maxlen", "2"],
+        "--other": ["compare", "--rep-file", rep_path, "--other", directory, "--maxlen", "2"],
+        "--output": ["sample", "--seed", "1", "--output", directory],
+    }[option]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_elliptic_rep_file_is_input_error(tmp_path, capsys):
     # a: rotation by pi/2 (trace 0) is elliptic, so the spectrum cannot be taken
     rep_path = tmp_path / "elliptic.json"
@@ -243,10 +259,10 @@ def test_determinism_byte_identical():
 
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 3, "maxlen": 2}))
+    cfg.write_text(json.dumps({"seed": 3, "rank": 3}))
     assert main(["sample", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out)["genus"] == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["genus"] == 1 and len(doc["matrices"]) == 4
 
 
 def test_explicit_flag_wins_over_config(tmp_path, capsys):
@@ -314,6 +330,34 @@ def test_tolerance_is_an_option_of_pattern_compare_and_scan_only(capsys):
         main(["spectrum", "--seed", "4", "--maxlen", "2", "--tolerance", "1e-3"])
     assert exc.value.code == 2
     assert "--tolerance" in capsys.readouterr().err
+
+
+# shared options a command does not read are not options of that command
+UNREAD_OPTIONS = [
+    (["sample", "--seed", "1"], "--maxlen"),
+    (["compare", "--rep-file", "r.json", "--other", "r.json"], "--seed"),
+    (["compare", "--rep-file", "r.json", "--other", "r.json"], "--rank"),
+    (["tracepoly", "--word", "ab"], "--seed"),
+    (["tracepoly", "--word", "ab"], "--maxlen"),
+    (["rmin", "--seed", "1", "ab"], "--maxlen"),
+    (["cocycle-verify", "--seed", "1"], "--maxlen"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,option", UNREAD_OPTIONS, ids=[f"{a[0]}{o}" for a, o in UNREAD_OPTIONS]
+)
+def test_unread_option_is_refused(argv, option, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, "3"])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({option[2:]: 3}))
+    assert main(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config key {option[2:]!r} is not an option of this command\n"
 
 
 # sha256 of stdout at fixed seeds; a change to any printed digit fails here
@@ -441,7 +485,7 @@ def _dumps_pattern(rep, maxlen, tol):
     fmt = sg.word_formatter(rep.presentation)
     doc = {
         "rep_digest": s.rep_digest,
-        "tolerance": f"{float(p.tolerance):.17g}",
+        "tolerance": f"{float(tol):.17g}",
         "blocks": [[fmt(p.classes[i].word) for i in block] for block in p.position_blocks()],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -68,7 +68,14 @@ def test_fricke_vector_needs_a_puncture():
     with pytest.raises(FrickeError, match="puncture"):
         FrickeVector(2, 0, values)
     with pytest.raises(FrickeError, match="puncture"):
-        rep_from_fricke(2, 0, FrickeVector(2, 0, values))
+        rep_from_fricke(FrickeVector(2, 0, values))
+
+
+def test_fricke_vector_needs_genus_one():
+    with pytest.raises(FrickeError, match="genus"):
+        FrickeVector(0, 3, ())
+    with pytest.raises(FrickeError, match="genus"):
+        FrickeVector(-1, 1, (2.0, 1.0))
 
 
 def test_roundtrip_punctured_torus():
@@ -77,7 +84,7 @@ def test_roundtrip_punctured_torus():
     for seed in range(10):
         rep = punctured_torus_sample(seed)
         v = fricke_from_rep(rep)
-        rebuilt = rep_from_fricke(1, 1, v)
+        rebuilt = rep_from_fricke(v)
         worst_defect = max(worst_defect, rebuilt.validity.relator_defect)
         # traces are conjugation invariants: must match generator-wise
         for k in range(1, 3):
@@ -96,10 +103,10 @@ def test_roundtrip_normalized_rep_generatorwise():
     # normalize once; the normalized rep must rebuild generator-by-generator
     rep = punctured_torus_sample(2)
     v = fricke_from_rep(rep)
-    rebuilt = rep_from_fricke(1, 1, v)
+    rebuilt = rep_from_fricke(v)
     v2 = fricke_from_rep(rebuilt)
     assert max(abs(x - y) for x, y in zip(v.values, v2.values)) < 1e-7
-    rebuilt2 = rep_from_fricke(1, 1, v2)
+    rebuilt2 = rep_from_fricke(v2)
     for k in range(1, 3):
         assert rebuilt.matrix(k).max_diff(rebuilt2.matrix(k)) < 1e-7
 

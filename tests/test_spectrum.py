@@ -160,7 +160,7 @@ def _random_pattern(rng, classes, blocks):
     rng.shuffle(order)
     cuts = sorted(rng.sample(range(1, len(order)), blocks - 1))
     return Pattern.from_blocks(
-        classes, [order[i:j] for i, j in zip([0] + cuts, cuts + [len(order)])], 0.0
+        classes, [order[i:j] for i, j in zip([0] + cuts, cuts + [len(order)])]
     )
 
 
@@ -169,7 +169,7 @@ def _coarsened(rng, p):
     merged = {}
     for block in p.position_blocks():
         merged.setdefault(rng.randrange(max(1, p.n_blocks // 2)), []).extend(block)
-    return Pattern.from_blocks(p.classes, merged.values(), 0.0)
+    return Pattern.from_blocks(p.classes, merged.values())
 
 
 def _reordered(rng, p):
@@ -179,7 +179,7 @@ def _reordered(rng, p):
     new_pos = {old: new for new, old in enumerate(perm)}
     classes = tuple(p.classes[old] for old in perm)
     return Pattern.from_blocks(
-        classes, ([new_pos[i] for i in b] for b in p.position_blocks()), 0.0
+        classes, ([new_pos[i] for i in b] for b in p.position_blocks())
     )
 
 
@@ -195,7 +195,7 @@ def test_position_based_subrelation_matches_key_based():
                 _coarsened(rng, p1),
                 _reordered(rng, p1),
                 _reordered(rng, _coarsened(rng, p1)),
-                Pattern.from_blocks(classes, reversed(list(p1.position_blocks())), 0.0),
+                Pattern.from_blocks(classes, reversed(list(p1.position_blocks()))),
             ]
         )
         for a, b in ((p1, p2), (p2, p1)):
@@ -320,6 +320,23 @@ def test_scan_generic_retries_failed_sample(monkeypatch):
     assert [r["trial"] for r in recs] == [0, 1, 2]
     assert calls[1] == calls[0] + 7919  # the failed draw is retried, not the trial dropped
     assert recs[0]["rep_digest"] == schottky_sample(calls[1], 2).digest()
+
+
+def test_scan_generic_does_not_retry_a_spectrum_error(monkeypatch):
+    # a SpectrumError is a fault, not a bad draw: only SamplingFailed is retried
+    module = sys.modules["speclab.spectrum"]
+    real, calls = module.spectrum, []
+
+    def elliptic_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise EllipticClassFound("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "spectrum", elliptic_once)
+    with pytest.raises(EllipticClassFound, match="injected"):
+        list(scan_generic(99, 3, maxlen=3))
+    assert len(calls) == 1
 
 
 def _always_fails(seed, m):
