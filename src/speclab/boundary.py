@@ -12,9 +12,12 @@ Every formula has one raw form on an (angle, unit complex) pair and a disk
 matrix, built on the float kernels of `mobius` (`circle_image`,
 `circle_derivative`, `angle_gap`) that `act`, `boundary_derivative` and
 `BoundaryPoint.angle_dist` wrap.  `busemann`, `cross_term`, `pairing_check`
-and `recover_cocycle_from_C` take BoundaryPoints and wrap the raw forms;
-`run_all_checks` calls the raw forms directly, and draws its words with the
-same random bits as `randint`/`choice`.
+and `recover_cocycle_from_C` take BoundaryPoints and wrap the raw forms; the
+last three raise CoincidentPoints when two of their points, or two images,
+are closer than SEPARATION_FLOOR.  `run_all_checks` calls the raw forms
+directly, which test no floor: its points are drawn more than 1e-3 apart and
+it rejects images closer than 1e-5.  It draws its words with the same random
+bits as `randint`/`choice`.
 """
 
 from __future__ import annotations
@@ -68,9 +71,6 @@ def _busemann(q, u: complex) -> float:
 
 
 def _cross(x, y) -> float:
-    gap = angle_gap(x[0], y[0])
-    if gap < SEPARATION_FLOOR:
-        raise CoincidentPoints(f"separation {gap} below floor")
     d = abs(x[1] - y[1])
     return -math.log(d * d / 4.0)
 
@@ -93,20 +93,36 @@ def _raw(xi: BoundaryPoint):
     return xi.theta, xi.u
 
 
+def _separated(*pts) -> None:
+    """CoincidentPoints unless every pair of raw points is at least
+    SEPARATION_FLOOR apart."""
+    for x, y in combinations(pts, 2):
+        gap = angle_gap(x[0], y[0])
+        if gap < SEPARATION_FLOOR:
+            raise CoincidentPoints(f"separation {gap} below floor")
+
+
 def busemann(gamma: Mat2, xi: BoundaryPoint) -> float:
     """Horospherical displacement cocycle B(gamma, xi) = -log|gamma'(xi)|."""
     return _busemann(gamma.disk, xi.u)
 
 
 def cross_term(xi: BoundaryPoint, eta: BoundaryPoint) -> float:
-    """C(xi, eta) = 2 (xi, eta)_o = -log(|xi - eta|^2 / 4)."""
-    return _cross(_raw(xi), _raw(eta))
+    """C(xi, eta) = 2 (xi, eta)_o = -log(|xi - eta|^2 / 4); CoincidentPoints
+    when xi and eta are closer than SEPARATION_FLOOR."""
+    x, y = _raw(xi), _raw(eta)
+    _separated(x, y)
+    return _cross(x, y)
 
 
 def pairing_check(gamma: Mat2, xi: BoundaryPoint, eta: BoundaryPoint) -> float:
     """Defect of the Gromov-product pairing identity at (gamma, xi, eta)."""
     q = gamma.disk
-    return _pairing_defect(q, _raw(xi), _raw(eta), circle_image(q, xi.u), circle_image(q, eta.u))
+    x, y = _raw(xi), _raw(eta)
+    gx, gy = circle_image(q, xi.u), circle_image(q, eta.u)
+    _separated(x, y)
+    _separated(gx, gy)
+    return _pairing_defect(q, x, y, gx, gy)
 
 
 def recover_cocycle_from_C(
@@ -114,7 +130,10 @@ def recover_cocycle_from_C(
 ) -> float:
     """Triple-difference recovery: half of h(gx,gy,gz) - h(x,y,z) equals B(gamma, x)."""
     pts = [_raw(p) for p in (x, y, z)]
-    return _recovered(*pts, *(circle_image(gamma.disk, u) for _, u in pts))
+    imgs = [circle_image(gamma.disk, u) for _, u in pts]
+    _separated(*pts)
+    _separated(*imgs)
+    return _recovered(*pts, *imgs)
 
 
 def _hyperbolic_fixed_points(gamma: Mat2):

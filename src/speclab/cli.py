@@ -265,16 +265,26 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     return out
 
 
+def _parse(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """ap.parse_args, but an option the subcommand does not take is
+    reported, with exit code 2, by the subcommand's own parser, so that the
+    usage line names the command."""
+    args, extras = ap.parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parse(ap, argv)
     try:
         if args.config is not None:
             # config values become the command's defaults, then the command
             # line is parsed again so that an explicit flag wins
             command = args.parser
             command.set_defaults(**_config_defaults(command, args.config))
-            args = ap.parse_args(argv)
+            args = _parse(ap, argv)
         if args.needs_seed and args.seed is None:
             raise SystemExit2("--seed is mandatory for randomized commands")
         return args.fn(args)

@@ -125,10 +125,12 @@ class SurfaceRep:
     @classmethod
     def free_rep(cls, mats, certificate=None) -> "SurfaceRep":
         """Wrap free generators A_1..A_m as a punctured surface (g=1, n=m-1);
-        the last puncture generator is forced by the relator."""
+        the last puncture generator is forced by the relator.  A generator
+        whose det is not 1 raises FrickeError."""
         m = len(mats)
         if m < 2:
             raise FrickeError("need at least two generators")
+        _check_unit_det(mats)
         pres = sg.Presentation(genus=1, punctures=m - 1)
         a, b = mats[0], mats[1]
         partial = a * b * a.inverse() * b.inverse()
@@ -154,6 +156,16 @@ class SurfaceRep:
             [[repr(x) for x in m.entries()] for m in self.matrices], sort_keys=True
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _check_unit_det(mats) -> None:
+    """FrickeError unless every matrix has det 1.  Lengths are read from
+    traces, which is right only at det 1.  The bound is relative: entries
+    printed to 17 digits lose accuracy in ad and bc, not in det."""
+    for k, m in enumerate(mats, 1):
+        ad, bc = m.a * m.d, m.b * m.c
+        if not abs(ad - bc - 1.0) <= 1e-9 * max(1.0, abs(ad), abs(bc)):
+            raise FrickeError(f"matrix {k} has det {ad - bc!r}, not 1")
 
 
 def _validate(pres: sg.Presentation, mats, certificate=None) -> ValidityReport:
@@ -501,10 +513,6 @@ def rep_from_json(text: str) -> SurfaceRep:
         cert = None if stored is None else tuple(tuple(float(x) for x in row) for row in stored)
     except (TypeError, ValueError):
         raise FrickeError("matrix entries and certificate values must be numbers") from None
-    for k, m in enumerate(mats, 1):
-        # a relative bound: printed entries lose accuracy in ad and bc, not in det
-        ad, bc = m.a * m.d, m.b * m.c
-        if not abs(ad - bc - 1.0) <= 1e-9 * max(1.0, abs(ad), abs(bc)):
-            raise FrickeError(f"matrix {k} has det {ad - bc!r}, not 1")
+    _check_unit_det(mats)
     return SurfaceRep(pres, mats, _validate(pres, mats, cert))
 

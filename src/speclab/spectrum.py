@@ -41,29 +41,32 @@ class LengthSpectrum:
 def spectrum(rep: SurfaceRep, maxlen: int, classes=None) -> LengthSpectrum:
     """|trace| and translation length of every class, read trace first.
 
-    Above |tr| = 2 (2 + EPS for float reps) the length is 2 acosh(|tr|/2)
-    straight from the product's entries.  Only at |tr| = 2 or below is a
+    Without `classes` the keys and traces come from one walk of the necklace
+    tree (`surface_group.class_traces`); given classes are evaluated with
+    `evaluate_many`.  Above |tr| = 2 (2 + EPS for float reps) the length is
+    2 acosh(|tr|/2), which assumes det = 1.  Only at |tr| = 2 or below is a
     Mat2 built and classified: identity and parabolic have length 0, and an
     elliptic class raises EllipticClassFound."""
     if classes is None:
-        classes = sg.enumerate_classes(rep.presentation, maxlen)
-    classes = tuple(classes)
+        classes, traces = sg.class_traces(rep, maxlen)
+    else:
+        classes = tuple(classes)
+        traces = [a + d for a, _, _, d in sg.evaluate_many([k.word for k in classes], rep)]
     exact = all(m.exact() for m in rep.matrices)
     top = 2 if exact else 2 + EPS
     acosh = math.acosh
-    traces = []
     lengths = []
-    for key, (a, b, c, d) in zip(classes, sg.evaluate_many([k.word for k in classes], rep)):
-        t = abs(a + d) if exact else abs(float(a + d))
+    for i, t in enumerate(traces):
+        # |tr| replaces the raw trace in place, so no second list of numbers is held
+        t = traces[i] = abs(t) if exact else abs(float(t))
         if t > top:
             lengths.append(2.0 * acosh(float(t) / 2.0))
         else:
-            m = Mat2(a, b, c, d)
+            m = sg.evaluate(classes[i].word, rep)
             if classify(m) is IsometryClass.ELLIPTIC:
-                raise EllipticClassFound(f"class {key} is elliptic (non-discrete rep?)")
+                raise EllipticClassFound(f"class {classes[i]} is elliptic (non-discrete rep?)")
             lengths.append(translation_length(m))
-        traces.append(t)
-    return LengthSpectrum(classes, tuple(traces), tuple(lengths), rep.digest(), exact)
+    return LengthSpectrum(tuple(classes), tuple(traces), tuple(lengths), rep.digest(), exact)
 
 
 @dataclass(frozen=True)

@@ -138,9 +138,9 @@ def canonical_class(w) -> ConjClassKey:
     return ConjClassKey(least_rotation(w))
 
 
-def _necklaces(rank: int, maxlen: int) -> list[Word]:
-    """Cyclically reduced words up to rotation, each as its least rotation,
-    sorted by (length, letter order).
+def _necklaces(rank: int, maxlen: int, gens=None):
+    """One key per class of cyclic length <= maxlen, each its least rotation,
+    sorted by (length, letter order); with `gens`, also each key's trace.
 
     These are the necklaces over the 2m letters with no letter next to its
     inverse, wrap-around included.  The FKM prenecklace recursion (Cattell,
@@ -153,40 +153,81 @@ def _necklaces(rank: int, maxlen: int) -> list[Word]:
     recursion level: repeating a[n - 1 - p] keeps the Lyndon prefix p, so
     it is allowed only when p divides n, and any larger letter makes the
     whole word its Lyndon prefix, which always divides n.  Length 1 is the
-    2m one-letter words."""
+    2m one-letter words.
+
+    `gens` holds the entries (P, Q, R, S) of each letter's matrix, by letter
+    index.  Each call then extends its parent's prefix product by one
+    letter, one 2x2 multiply per walk node, left to right from the identity
+    (1, 0, 0, 1) with the sums of Mat2.__mul__; each leaf's trace, prefix
+    times last letter, is (A P + B R) + (C Q + D S).  That is `a + d` of
+    the chain `evaluate_many` forms, so every trace is bit-identical to it.
+    Returns (keys, traces); traces is None without `gens`."""
+    if maxlen < 1:
+        raise ValueError("maxlen must be >= 1")
     letters = [x for k in range(1, rank + 1) for x in (k, -k)]  # index j ^ 1 is the inverse
     k = len(letters)
-    out: list[Word] = [(x,) for x in letters] if maxlen >= 1 else []
-    for n in range(2, maxlen + 1):
+    one = [(x,) for x in letters]
+    new = tuple.__new__  # ConjClassKey(w) without its Python-level __new__
+    keys: list[ConjClassKey] = []
+    traces = None if gens is None else []
+
+    def leaves(start: int, cut: int, first: int, word: Word, m) -> None:
+        """Keep word + letter j for every j >= start other than cut and
+        first; m is the product of word, or None."""
+        if m is not None:
+            A, B, C, D = m
+        for j in range(start, k):
+            if j != cut and j != first:
+                keys.append(new(ConjClassKey, (word + one[j],)))
+                if m is not None:
+                    P, Q, R, S = gens[j]
+                    traces.append((A * P + B * R) + (C * Q + D * S))
+
+    def rec(t: int, p: int, word: Word, m) -> None:
+        # word and m are the parent's prefix a[:t - 1]; extend them by a[t - 1]
+        j = a[t - 1]
+        word += one[j]
+        if m is not None:
+            A, B, C, D = m
+            P, Q, R, S = gens[j]
+            m = A * P + B * R, A * Q + B * S, C * P + D * R, C * Q + D * S
+        lo, cut = a[t - p], j ^ 1
+        if t == last:
+            leaves(lo if n % p == 0 else lo + 1, cut, a[0] ^ 1, word, m)
+            return
+        for j in range(lo, k):
+            if j != cut:
+                a[t] = j
+                rec(t + 1, p if j == lo else t + 1, word, m)
+
+    identity = None if gens is None else (1, 0, 0, 1)
+    for n in range(1, maxlen + 1):
         a = [0] * n
         last = n - 1
-
-        def rec(t: int, p: int) -> None:
-            lo, cut = a[t - p], a[t - 1] ^ 1
-            if t == last:
-                first = a[0] ^ 1
-                for j in range(lo if n % p == 0 else lo + 1, k):
-                    if j != cut and j != first:
-                        a[t] = j
-                        out.append(tuple(map(letters.__getitem__, a)))
-                return
-            for j in range(lo, k):
-                if j != cut:
-                    a[t] = j
-                    rec(t + 1, p if j == lo else t + 1)
-
+        if not last:
+            leaves(0, -1, -1, (), identity)  # no letter is cut from a one-letter word
+            continue
         for j in range(k):
             a[0] = j
-            rec(1, 1)
-    return out
+            rec(1, 1, (), identity)
+    del rec  # rec's cell holds rec: break that cycle, or it keeps the walk's lists until a gc
+    return keys, traces
 
 
 def enumerate_classes(p: Presentation, maxlen: int) -> list[ConjClassKey]:
     """One key per conjugacy class of cyclic length <= maxlen, sorted by
     (length, letter order).  Deterministic and duplicate-free."""
-    if maxlen < 1:
-        raise ValueError("maxlen must be >= 1")
-    return list(map(ConjClassKey, _necklaces(p.free_rank, maxlen)))
+    return _necklaces(p.free_rank, maxlen)[0]
+
+
+def class_traces(rep, maxlen: int) -> tuple[list[ConjClassKey], list]:
+    """enumerate_classes(rep.presentation, maxlen) and the trace a + d of
+    each class word's product, from one walk of the necklace tree; each
+    trace is bit-identical to `a + d` from `evaluate_many`."""
+    gens = []
+    for m in rep.matrices[: rep.presentation.free_rank]:
+        gens += [m.entries(), m.inverse().entries()]
+    return _necklaces(rep.presentation.free_rank, maxlen, gens)
 
 
 def evaluate(w, rep) -> Mat2:
@@ -196,6 +237,11 @@ def evaluate(w, rep) -> Mat2:
 
 def evaluate_many(words, rep):
     """Yield the entries (a, b, c, d) of each word's product, in the order given.
+
+    This serves given word lists: `spectrum` on given classes (as `scan`
+    passes them), the fingerprints of `rmin_pairs`, and `evaluate`.  The
+    spectrum of all classes up to a length takes its traces from the
+    necklace walk instead (`class_traces`).
 
     The products of the previous word's prefixes are kept on a stack; each
     word reuses the longest prefix it shares with the previous one and costs

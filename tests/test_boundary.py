@@ -76,6 +76,17 @@ def test_cross_term_rejects_coincident():
         cross_term(_pt(1.0), _pt(1.0 + 1e-9))
 
 
+def test_pairing_and_recovery_reject_coincident_points():
+    g = schottky_sample(1, 2).matrix(1)
+    x, y = _pt(1.0), _pt(1.0 + 1e-9)
+    with pytest.raises(CoincidentPoints):
+        pairing_check(g, x, y)
+    with pytest.raises(CoincidentPoints):
+        recover_cocycle_from_C(g, x, _pt(2.5), y)
+    # the raw cross term tests no floor: run_all_checks separates its points
+    assert boundary._cross((x.theta, x.u), (y.theta, y.u)) > 0
+
+
 def test_cocycle_identity_random():
     worst = 0.0
     for _ in range(200):

@@ -232,6 +232,13 @@ def test_rep_file_with_det_not_one_is_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "matrix 1 has det" in err
 
 
+def test_rep_file_with_integer_det_two_generators_is_input_error(tmp_path, capsys):
+    rep = _write_rep(tmp_path / "det2.json", [[2, 1, 1, 1], [2, 2, 1, 2], [1, 0, 0, 1]])
+    assert main(["spectrum", "--rep-file", rep, "--maxlen", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: matrix 2 has det 2.0, not 1\n" and captured.out == ""
+
+
 def test_compare_rejects_malformed_other(tmp_path, capsys):
     good = tmp_path / "rep.json"
     main(["sample", "--seed", "9", "--output", str(good)])
@@ -351,7 +358,10 @@ def test_unread_option_is_refused(argv, option, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + [option, "3"])
     assert exc.value.code == 2
-    assert option in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # reported by the command's own parser: its usage line names the command
+    assert err.startswith(f"usage: speclab {argv[0]} ")
+    assert f"speclab {argv[0]}: error: unrecognized arguments: {option} 3" in err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({option[2:]: 3}))
     assert main(argv + ["--config", str(cfg)]) == 1

@@ -157,6 +157,15 @@ def test_free_rep_wraps_free_generators():
     assert sg.evaluate(rel, rep).dist_to_pm_identity() < 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_free_rep_rejects_det_not_one(k):
+    # integer generators, one of them of det 2
+    mats = [Mat2(2, 1, 1, 1), Mat2(1, 1, 1, 2)]
+    mats[k - 1] = Mat2(2, 2, 1, 2)
+    with pytest.raises(FrickeError, match=f"matrix {k} has det 2, not 1"):
+        SurfaceRep.free_rep(mats)
+
+
 def test_digest_stable_and_sensitive():
     r1 = schottky_sample(10, 2)
     r2 = schottky_sample(10, 2)

@@ -128,6 +128,36 @@ def test_spectrum_kernel_branches_are_reached():
         assert by_key["b"][1] == by_key["ab"][1] > 0
 
 
+@pytest.mark.parametrize("rep,maxlen", list(KERNEL_REPS.values()), ids=list(KERNEL_REPS))
+def test_spectrum_walk_matches_given_classes(rep, maxlen):
+    # keys and traces from the necklace walk, against evaluate_many on the
+    # enumerated classes
+    walked = spectrum(rep, maxlen)
+    given = spectrum(rep, maxlen, classes=sg.enumerate_classes(rep.presentation, maxlen))
+    assert walked == given
+    assert list(map(repr, walked.traces)) == list(map(repr, given.traces))
+
+
+def test_spectrum_builds_a_matrix_only_at_trace_two_or_below(monkeypatch):
+    rep = modular_torus_rep()
+    built = []
+    evaluate = sg.evaluate
+    monkeypatch.setattr(sg, "evaluate", lambda w, r: built.append(w) or evaluate(w, r))
+    s = spectrum(rep, 6)
+    low = [k.word for k, t in zip(s.classes, s.traces) if t <= 2]
+    assert built == low == [(1, 2, -1, -2), (1, -2, -1, 2)]
+    # the parabolic commutator and its inverse have length 0
+    assert [s.lengths[s.classes.index(sg.ConjClassKey(w))] for w in low] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("num", [int, float], ids=["exact", "float"])
+def test_spectrum_raises_on_elliptic_generator(num):
+    # b is a rotation by a quarter turn (trace 0)
+    rep = SurfaceRep.free_rep([Mat2(*map(num, (2, 1, 1, 1))), Mat2(*map(num, (0, -1, 1, 0)))])
+    with pytest.raises(EllipticClassFound, match="class b is elliptic"):
+        spectrum(rep, 1)
+
+
 @pytest.mark.parametrize("num", [Fraction, float], ids=["exact", "float"])
 def test_spectrum_raises_on_elliptic_product(num):
     # both generators hyperbolic (tr 5/2 and 3), their product elliptic (tr 3/2)

@@ -6,10 +6,12 @@ from math import gcd
 import pytest
 
 from speclab.mobius import Mat2, identity
+from speclab.characters import random_exact_rep
 from speclab.surface_group import (
     EmptyWord,
     Presentation,
     canonical_class,
+    class_traces,
     cyclic_reduce,
     enumerate_classes,
     evaluate,
@@ -257,6 +259,39 @@ def test_evaluate_many_any_order(rep):
     shuffled = rng.choices(words, k=2 * len(words))  # repeats, and no shared order
     for ws in (shuffled, [(), (1, 2), (), (1, 2), (1,), ()], [(1, -2, 1)], []):
         assert list(evaluate_many(ws, rep)) == [_chain(w, rep) for w in ws]
+
+
+WALK_REPS = {
+    "m2-float": schottky_sample(3, 2),
+    "m2-exact": random_exact_rep(2, random.Random(2)),
+    "m2-modular": modular_torus_rep(),
+    "m3-float": schottky_sample(4, 3),
+    "m3-exact": random_exact_rep(3, random.Random(3)),
+    "m4-float": schottky_sample(5, 4),
+    "m4-exact": random_exact_rep(4, random.Random(4)),
+}
+
+
+@pytest.mark.parametrize("rep", list(WALK_REPS.values()), ids=list(WALK_REPS))
+def test_class_traces_match_evaluate_many(rep):
+    exact = all(m.exact() for m in rep.matrices)
+    for maxlen in range(1, 7):
+        keys, traces = class_traces(rep, maxlen)
+        assert keys == enumerate_classes(rep.presentation, maxlen)
+        chain = [a + d for a, _, _, d in evaluate_many([k.word for k in keys], rep)]
+        if exact:
+            assert traces == chain
+            assert all(type(t) is int for t in traces)
+        else:
+            # bit-identical floats, signed zeros included
+            assert list(map(repr, traces)) == list(map(repr, chain))
+
+
+def test_walks_reject_maxlen_below_one():
+    with pytest.raises(ValueError, match="maxlen must be >= 1"):
+        enumerate_classes(F2, 0)
+    with pytest.raises(ValueError, match="maxlen must be >= 1"):
+        class_traces(modular_torus_rep(), 0)
 
 
 class _Counted:
