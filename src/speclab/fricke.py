@@ -1,21 +1,26 @@
 """Fricke coordinates: matrix representations from coordinate vectors and back.
 
-The normalization puts the first handle generator in diagonal form with
-repelling / attracting fixed points at 0 and infinity and gives the second
-one a fixed point at 1.  The remaining generators carry the coordinates
-(a_i, c_i, d_i, a'_i, c'_i, d'_i) for 2 <= i <= g and (e_j, g_j) for the
-punctures; the first pair of matrices is then forced by the surface relator.
+In the chart's normal form alpha_1 = diag(lambda, 1/lambda) with lambda > 1
+(repelling point 0, attracting point infinity), and 1 is the attracting
+fixed point of beta_1, |c_1 + d_1| > 1.  The other generators carry the
+coordinates (a_i, c_i, d_i, a'_i, c'_i, d'_i), 2 <= i <= g, and (e_j, g_j)
+for the punctures.  The relator forces the first pair up to a sign;
+`rep_from_fricke` keeps the branch in normal form and rejects a vector that
+has none.
 
-Certified sample points come from ping-pong configurations: disjoint
-isometric-circle pairs prove the sampled generators are free and discrete.
+A rep's validity, its ping-pong certificate included, is derived from its
+matrices, never read from a file: disjoint isometric circles of the free
+generators prove them free and discrete (Maskit, Kleinian Groups, 1988).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import surface_group as sg
 from .mobius import (
@@ -92,7 +97,7 @@ class ValidityReport:
     relator_defect: float
     all_hyperbolic_or_parabolic: bool
     punctures_parabolic: bool
-    discreteness_certificate: tuple | None = None
+    discreteness_certificate: tuple | None
 
     @property
     def valid(self) -> bool:
@@ -123,10 +128,11 @@ class SurfaceRep:
         return self.matrices[k - 1]
 
     @classmethod
-    def free_rep(cls, mats, certificate=None) -> "SurfaceRep":
+    def free_rep(cls, mats) -> "SurfaceRep":
         """Wrap free generators A_1..A_m as a punctured surface (g=1, n=m-1);
         the last puncture generator is forced by the relator.  A generator
-        whose det is not 1 raises FrickeError."""
+        whose det is not 1 raises FrickeError.  The validity, ping-pong
+        certificate included, is derived from the matrices."""
         m = len(mats)
         if m < 2:
             raise FrickeError("need at least two generators")
@@ -140,13 +146,12 @@ class SurfaceRep:
         if last.tr() < 0:
             last = -last
         all_mats = tuple(mats) + (last,)
-        return cls(pres, all_mats, _validate(pres, all_mats, certificate))
+        return cls(pres, all_mats, _validate(pres, all_mats))
 
     def conjugated(self, h: Mat2) -> "SurfaceRep":
         det = h.det()
         hinv = Mat2(h.d / det, -h.b / det, -h.c / det, h.a / det)
         mats = tuple((h * m * hinv) for m in self.matrices)
-        # the certificate names the disks of the unconjugated generators
         return SurfaceRep(self.presentation, mats, _validate(self.presentation, mats))
 
     def digest(self) -> str:
@@ -168,7 +173,25 @@ def _check_unit_det(mats) -> None:
             raise FrickeError(f"matrix {k} has det {ad - bc!r}, not 1")
 
 
-def _validate(pres: sg.Presentation, mats, certificate=None) -> ValidityReport:
+def ping_pong_certificate(mats) -> tuple | None:
+    """Rows (p, r, q, r), one per free generator (a b / c d): the isometric
+    circles of A at p = -d/c and of A^-1 at q = a/c, both of radius 1/|c|.
+    None unless all 2m disks are pairwise disjoint (so also when some c = 0).
+    Exact entries give exact rows, so for an exact rep the test is a proof."""
+    rows = []
+    for m in mats:
+        if m.c == 0:
+            return None
+        c = Fraction(m.c) if m.exact() else m.c
+        r = 1 / abs(c)
+        rows.append((-m.d / c, r, m.a / c, r))
+    disks = [(p, r) for p, r, _, _ in rows] + [(q, r) for _, _, q, r in rows]
+    if any(abs(x - y) <= r + s for (x, r), (y, s) in itertools.combinations(disks, 2)):
+        return None
+    return tuple(rows)
+
+
+def _validate(pres: sg.Presentation, mats) -> ValidityReport:
     rel = sg.relator(pres)
     rep = SurfaceRep(pres, tuple(mats))
     r = sg.evaluate(rel, rep)
@@ -181,7 +204,7 @@ def _validate(pres: sg.Presentation, mats, certificate=None) -> ValidityReport:
             ok = False
         if k >= 2 * pres.genus and cls is not IsometryClass.PARABOLIC:
             cusps = False
-    return ValidityReport(defect, ok, cusps, certificate)
+    return ValidityReport(defect, ok, cusps, ping_pong_certificate(mats[: pres.free_rank]))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +250,8 @@ def _first_pair(a, b, c, d):
 
 
 def rep_from_fricke(v: FrickeVector) -> SurfaceRep:
-    """Build the normalized representation determined by a Fricke vector."""
+    """Build the representation in the chart's normal form determined by a
+    Fricke vector; NotInFrickeImage if there is none."""
     g, n = v.genus, v.punctures
     handles = [_handle_matrices(v.handle(i)) for i in range(2, g + 1)]
     punct = [_puncture_matrix(*v.puncture(j)) for j in range(1, n + 1)]
@@ -238,35 +262,23 @@ def rep_from_fricke(v: FrickeVector) -> SurfaceRep:
         partial = partial * gm
     inv = partial.inverse()
     a, b, c, d = (float(x) for x in inv.entries())
-    pres = sg.Presentation(genus=g, punctures=n)
-
-    def build(sign):
-        alpha1, beta1 = _first_pair(sign * a, sign * b, sign * c, sign * d)
-        ordered = [alpha1, beta1]
-        for alpha, beta in handles:
-            ordered += [alpha, beta]
-        ordered += punct
-        ordered = tuple(m.to_float() for m in ordered)
-        return SurfaceRep(pres, ordered, _validate(pres, ordered))
-
-    # the sign of the partial product is only determined up to +-1; keep the
-    # branch that actually satisfies the relator
-    candidates = []
-    errors = []
+    # the relator fixes the first pair's commutator only up to sign; keep the
+    # first branch in normal form: lambda > 1, 1 attracting for beta_1
     for sign in (1.0, -1.0):
         try:
-            candidates.append(build(sign))
-        except FrickeError as exc:
-            errors.append(exc)
-    if not candidates:
-        raise errors[0]
-    candidates.sort(
-        key=lambda r: (
-            r.validity.relator_defect,
-            0 if classify(r.matrix(1)) is IsometryClass.HYPERBOLIC else 1,
-        )
-    )
-    return candidates[0]
+            alpha1, beta1 = _first_pair(sign * a, sign * b, sign * c, sign * d)
+        except FrickeError:
+            continue
+        if alpha1.a > 1.0 and abs(beta1.c + beta1.d) > 1.0:
+            break
+    else:
+        raise NotInFrickeImage("the first pair is in normal form on neither sign branch")
+    ordered = [alpha1, beta1]
+    for alpha, beta in handles:
+        ordered += [alpha, beta]
+    ordered = tuple(m.to_float() for m in ordered + punct)
+    pres = sg.Presentation(genus=g, punctures=n)
+    return SurfaceRep(pres, ordered, _validate(pres, ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -348,27 +360,19 @@ def fricke_from_rep(rep: SurfaceRep) -> FrickeVector:
 
 
 def _beta_normalization_point(beta1: Mat2, x_plus, x_minus):
-    """A beta_1 fixed point distinct from both alpha_1 fixed points."""
+    """beta_1's attracting fixed point (a parabolic beta_1's only one), which
+    the normal form sends to 1; NotNormalizable if it is an alpha_1 fixed point."""
     cls = classify(beta1)
-    cands = []
     if cls is IsometryClass.HYPERBOLIC:
-        a, r = fixed_points(beta1)
-        cands = [a.to_real(), r.to_real()]
+        p = fixed_points(beta1)[0].to_real()
     elif cls is IsometryClass.PARABOLIC:
         a, b, c, d = (float(x) for x in beta1.entries())
-        cands = [math.inf if c == 0.0 else (a - d) / (2.0 * c)]
+        p = math.inf if c == 0.0 else (a - d) / (2.0 * c)
     else:
         raise NotNormalizable("second generator is elliptic or trivial")
-
-    def close(u, v):
-        if u == math.inf or v == math.inf:
-            return u == v
-        return abs(u - v) <= 1e-9 * max(1.0, abs(u), abs(v))
-
-    for p in cands:
-        if not close(p, x_plus) and not close(p, x_minus):
-            return p
-    raise NotNormalizable("generators share their fixed points (elementary pair)")
+    if any(math.isclose(p, x, rel_tol=1e-9, abs_tol=1e-9) for x in (x_plus, x_minus)):
+        raise NotNormalizable("generators share a fixed point (elementary pair)")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -378,31 +382,30 @@ def _beta_normalization_point(beta1: Mat2, x_plus, x_minus):
 def schottky_sample(seed: int, m: int = 2) -> SurfaceRep:
     """Discrete free rank-m group from disjoint isometric-circle pairs.
 
-    Generator k maps the outside of one disk onto the inside of its partner;
-    pairwise disjointness of all 2m disks is the ping-pong certificate.
+    Generator k maps the outside of one disk onto the inside of its partner.
+    A draw is kept when the certificate derived from the generators' own
+    isometric circles exists: all 2m disks pairwise disjoint.  Centres lie
+    in [-w, w], w = 4 up to rank 4 and 1.5 m above, so that high ranks fit.
     """
     if m < 2:
         raise FrickeError("need m >= 2")
+    w = 4.0 if m <= 4 else 1.5 * m
     rng = random.Random(seed)
     for _ in range(64):
-        centers = []
-        radii = []
-        ok = True
+        centers, radii = [], []
         for _ in range(2 * m):
             for _try in range(200):
-                x = rng.uniform(-4.0, 4.0)
+                x = rng.uniform(-w, w)
                 r = rng.uniform(0.25, 0.6)
                 if all(abs(x - y) > (r + s) * 1.15 for y, s in zip(centers, radii)):
                     centers.append(x)
                     radii.append(r)
                     break
             else:
-                ok = False
                 break
-        if not ok:
+        if len(centers) < 2 * m:
             continue
         mats = []
-        cert = []
         for k in range(m):
             p, q = centers[2 * k], centers[2 * k + 1]
             r1, r2 = radii[2 * k], radii[2 * k + 1]
@@ -412,22 +415,11 @@ def schottky_sample(seed: int, m: int = 2) -> SurfaceRep:
             a = q * c
             d = -p * c
             b = (a * d - 1.0) / c
-            mat = Mat2(a, b, c, d).psl_normalized()
-            mats.append(mat)
-            cert.append((p, r, q, r))
-        disks = [(p, r) for (p, r, _, _) in cert] + [(q, r) for (_, _, q, r) in cert]
-        if _disks_disjoint(disks):
-            return SurfaceRep.free_rep(mats, certificate=tuple(cert))
+            mats.append(Mat2(a, b, c, d).psl_normalized())
+        rep = SurfaceRep.free_rep(mats)
+        if rep.validity.discreteness_certificate is not None:
+            return rep
     raise SamplingFailed("no disjoint disk configuration after 64 tries")
-
-
-def _disks_disjoint(disks) -> bool:
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            (x, r), (y, s) = disks[i], disks[j]
-            if abs(x - y) <= r + s:
-                return False
-    return True
 
 
 def punctured_torus_sample(seed: int) -> SurfaceRep:
@@ -467,7 +459,7 @@ def punctured_torus_sample(seed: int) -> SurfaceRep:
             continue
         mats = (alpha, beta, gamma)
         pres = sg.Presentation(genus=1, punctures=1)
-        rep = SurfaceRep(pres, mats, _validate(pres, mats, certificate=((x, y, z),)))
+        rep = SurfaceRep(pres, mats, _validate(pres, mats))
         if rep.validity.valid:
             return rep
     raise SamplingFailed("no valid punctured-torus sample")
@@ -492,6 +484,8 @@ def rep_to_json(rep: SurfaceRep) -> str:
 
 
 def rep_from_json(text: str) -> SurfaceRep:
+    """Read a rep file; its validity is derived from the matrices, and a
+    stored `validity` block is ignored."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise FrickeError("a rep file must hold a JSON object")
@@ -506,13 +500,10 @@ def rep_from_json(text: str) -> SurfaceRep:
         )
     if not all(isinstance(row, list) and len(row) == 4 for row in rows):
         raise FrickeError("every matrix needs a list of 4 entries a, b, c, d")
-    validity = doc.get("validity")
-    stored = validity.get("discreteness_certificate") if isinstance(validity, dict) else None
     try:
         mats = tuple(Mat2(*(float(v) for v in row)) for row in rows)
-        cert = None if stored is None else tuple(tuple(float(x) for x in row) for row in stored)
     except (TypeError, ValueError):
-        raise FrickeError("matrix entries and certificate values must be numbers") from None
+        raise FrickeError("matrix entries must be numbers") from None
     _check_unit_det(mats)
-    return SurfaceRep(pres, mats, _validate(pres, mats, cert))
+    return SurfaceRep(pres, mats, _validate(pres, mats))
 

@@ -207,12 +207,7 @@ def test_rep_file_with_short_row_is_input_error(tmp_path, capsys):
         {"genus": 1, "punctures": True, "matrices": []},
         {"genus": 1, "punctures": 1},
         {"genus": 1, "punctures": 1, "matrices": [[None, 0, 0, 1], [3, 1, 1, 1], [1, 0, 0, 1]]},
-        {
-            "genus": 1,
-            "punctures": 1,
-            "matrices": [[2, 0, 0, 0.5], [1, 1, 1, 2], [1, 0, 0, 1]],
-            "validity": {"discreteness_certificate": [1]},
-        },
+        {"genus": 1, "punctures": 1, "matrices": [["2", "x", 0, 0.5], [3, 1, 1, 1], [1, 0, 0, 1]]},
         # a closed genus-2 surface: only punctured surfaces are supported
         {"genus": 2, "punctures": 0, "matrices": [[1, 0, 0, 1]] * 4},
     ],
@@ -223,6 +218,18 @@ def test_malformed_rep_file_is_input_error(tmp_path, capsys, doc):
     assert main(["spectrum", "--rep-file", str(path), "--maxlen", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_stored_validity_block_is_ignored(tmp_path, capsys):
+    # validity and certificate are derived from the matrices on load
+    doc = {"genus": 1, "punctures": 1, "matrices": [[2, 0, 0, 0.5], [1, 1, 1, 2], [1, 0, 0, 1]]}
+    outs = []
+    for validity in (None, {"discreteness_certificate": [1]}):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(dict(doc, validity=validity)))
+        assert main(["spectrum", "--rep-file", str(path), "--maxlen", "2"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != ""
 
 
 def test_rep_file_with_det_not_one_is_input_error(tmp_path, capsys):

@@ -1,12 +1,16 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from speclab.fricke import (
     FrickeError,
     FrickeVector,
+    NotInFrickeImage,
     SurfaceRep,
     fricke_from_rep,
+    ping_pong_certificate,
     punctured_torus_sample,
     rep_from_fricke,
     rep_from_json,
@@ -14,6 +18,7 @@ from speclab.fricke import (
     schottky_sample,
 )
 from speclab.mobius import Mat2, classify, IsometryClass
+from speclab.spectrum import modular_torus_rep
 import speclab.surface_group as sg
 
 
@@ -23,6 +28,25 @@ def test_schottky_sample_is_valid():
         assert rep.validity.valid
         assert rep.validity.relator_defect < 1e-8
         assert rep.validity.discreteness_certificate is not None
+
+
+@pytest.mark.parametrize("m", [5, 6, 8])
+def test_schottky_sample_at_high_rank(m):
+    for seed in range(20):
+        rep = schottky_sample(seed, m)
+        assert rep.presentation.free_rank == m
+        assert rep.validity.discreteness_certificate is not None
+
+
+def test_ping_pong_certificate_is_exact_for_integer_generators():
+    # isometric circles of radius 1 at -3, 3 and -7, 7: disjoint
+    cert = ping_pong_certificate([Mat2(3, 8, 1, 3), Mat2(7, 48, 1, 7)])
+    assert cert == ((-3, 1, 3, 1), (-7, 1, 7, 1))
+    assert all(type(x) is Fraction for row in cert for x in row)
+    # circles at -5, 5 touch those at -3, 3: tangent is not disjoint
+    assert ping_pong_certificate([Mat2(3, 8, 1, 3), Mat2(5, 24, 1, 5)]) is None
+    # a generator with c = 0 has no isometric circle
+    assert ping_pong_certificate([Mat2(2, 0, 0, Fraction(1, 2)), Mat2(7, 48, 1, 7)]) is None
 
 
 def test_schottky_sample_deterministic():
@@ -137,14 +161,51 @@ def test_sampled_reps_survive_json_roundtrip():
             rep = schottky_sample(seed, m)
             back = rep_from_json(rep_to_json(rep))
             assert back.presentation == rep.presentation
+            # the certificate is derived again on load, from the same matrices
+            cert = back.validity.discreteness_certificate
+            assert cert is not None and cert == rep.validity.discreteness_certificate
 
 
-def test_conjugated_rep_drops_certificate():
+def test_forged_certificate_is_not_trusted():
+    # the modular torus's isometric circles overlap: no certificate exists
+    doc = json.loads(rep_to_json(modular_torus_rep()))
+    doc["validity"]["discreteness_certificate"] = [[-10, 1, 10, 1], [-20, 1, 20, 1]]
+    assert rep_from_json(json.dumps(doc)).validity.discreteness_certificate is None
+
+
+def test_conjugated_rep_derives_its_certificate():
     rep = schottky_sample(6, 2)
-    assert rep.validity.discreteness_certificate is not None
     conj = rep.conjugated(Mat2(1, 0.5, 0, 1))
-    assert conj.validity.discreteness_certificate is None
+    cert = conj.validity.discreteness_certificate
+    assert cert == ping_pong_certificate(conj.matrices[: conj.presentation.free_rank])
+    # conjugating by z -> z + 1/2 moves every isometric circle by 1/2
+    for row, moved in zip(rep.validity.discreteness_certificate, cert):
+        assert max(abs(y - x - t) for x, y, t in zip(row, moved, (0.5, 0, 0.5, 0))) < 1e-9
     assert conj.validity.valid
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (2, 1)])
+def test_rep_from_fricke_accepts_only_its_normal_form(g, n):
+    # a vector is either rebuilt in the chart's normal form, which
+    # fricke_from_rep reads back, or rejected
+    rng = random.Random(3)
+    accepted = 0
+    for _ in range(1000):
+        values = []
+        for _ in range(g - 1):
+            for _ in range(2):
+                values += [rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(-3, 3)]
+        for _ in range(n):
+            values += [rng.uniform(-3, 3), rng.uniform(-3, 3)]
+        v = FrickeVector(g, n, tuple(values))
+        try:
+            rep = rep_from_fricke(v)
+        except NotInFrickeImage:
+            continue
+        back = fricke_from_rep(rep)
+        assert max(abs(x - y) for x, y in zip(v.values, back.values)) < 1e-7
+        accepted += 1
+    assert accepted >= 10
 
 
 def test_free_rep_wraps_free_generators():
