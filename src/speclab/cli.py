@@ -15,11 +15,11 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import boundary, characters, fricke, surface_group as sg
+from .mobius import EPS
 # NB: `speclab.spectrum` the attribute is the spectrum() function (it shadows
 # the submodule), so pull what we need from the submodule directly.
 from .spectrum import (
     SpectrumError,
-    check_tolerance,
     pattern as length_pattern,
     rows_to_csv,
     scan_generic,
@@ -90,34 +90,32 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_pattern(args) -> int:
-    check_tolerance(args.tolerance)
     rep = _load_rep(args)
     s = length_spectrum(rep, args.maxlen)
-    p = length_pattern(s, args.tolerance)
+    p = length_pattern(s)
     fmt = sg.word_formatter(rep.presentation)
     cs = p.classes
     blocks = [
         _indented_list([_json_str(fmt(cs[i].word)) for i in block], "    ")
         for block in p.position_blocks()
     ]
-    digest, tolerance = s.rep_digest, _fmt(args.tolerance)
+    digest = s.rep_digest
     del s, p, cs  # the spectrum is freed before the output text is built
     # the text of json.dumps({"blocks", "rep_digest", "tolerance"}, indent=2, sort_keys=True)
     _out(
         args,
         f'{{\n  "blocks": {_indented_list(blocks, "  ")},\n'
         f'  "rep_digest": {_json_str(digest)},\n'
-        f'  "tolerance": {_json_str(tolerance)}\n}}\n',
+        f'  "tolerance": {_json_str(_fmt(EPS))}\n}}\n',
     )
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    check_tolerance(args.tolerance)
     rep1 = fricke.rep_from_json(Path(args.rep_file).read_text())
     rep2 = fricke.rep_from_json(Path(args.other).read_text())
-    p1 = length_pattern(length_spectrum(rep1, args.maxlen), args.tolerance)
-    p2 = length_pattern(length_spectrum(rep2, args.maxlen), args.tolerance)
+    p1 = length_pattern(length_spectrum(rep1, args.maxlen))
+    p2 = length_pattern(length_spectrum(rep2, args.maxlen))
     sub = subrelation(p1, p2)
     doc = {
         "holds": sub["holds"],
@@ -165,7 +163,6 @@ def cmd_scan(args) -> int:
             args.seed,
             args.trials,
             maxlen=args.maxlen,
-            tol=args.tolerance,
             m=args.rank,
             include_arithmetic_point=args.arithmetic_point,
         )
@@ -215,11 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 
     p = command("pattern", cmd_pattern, "equal-length blocks", "rank maxlen seed")
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--rep-file", type=str, default=None)
 
     p = command("compare", cmd_compare, "sub-relation report for two reps", "maxlen")
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--rep-file", type=str, required=True)
     p.add_argument("--other", type=str, required=True)
 
@@ -231,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("words", nargs="+")
 
     p = command("scan", cmd_scan, "genericity experiment", "rank maxlen seed", True)
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--arithmetic-point", action="store_true")
 
@@ -255,8 +249,6 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
         if action is None:
             raise SystemExit2(f"config key {key!r} is not an option of this command")
         want = bool if action.nargs == 0 else action.type or str
-        if want is float:
-            want = (int, float)
         if isinstance(value, bool) is not (want is bool) or not isinstance(value, want):
             raise SystemExit2(f"config key {key!r}: {value!r} has the wrong type")
         if action.choices is not None and value not in action.choices:

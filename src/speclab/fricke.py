@@ -5,8 +5,8 @@ In the chart's normal form alpha_1 = diag(lambda, 1/lambda) with lambda > 1
 fixed point of beta_1, |c_1 + d_1| > 1.  The other generators carry the
 coordinates (a_i, c_i, d_i, a'_i, c'_i, d'_i), 2 <= i <= g, and (e_j, g_j)
 for the punctures.  The relator forces the first pair up to a sign;
-`rep_from_fricke` keeps the branch in normal form and rejects a vector that
-has none.
+`rep_from_fricke` keeps the branch in normal form, the one with
+tr[alpha_1, beta_1] < 0 where both are, and rejects a vector that has none.
 
 A rep's validity, its ping-pong certificate included, is derived from its
 matrices, never read from a file: disjoint isometric circles of the free
@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import surface_group as sg
 from .mobius import (
@@ -122,7 +123,22 @@ class SurfaceRep:
 
     presentation: sg.Presentation
     matrices: tuple
-    validity: ValidityReport = None
+
+    @cached_property
+    def validity(self) -> ValidityReport:
+        """Relator defect, element types and ping-pong certificate, derived
+        from the matrices on first read and kept."""
+        pres, mats = self.presentation, self.matrices
+        defect = sg.evaluate(sg.relator(pres), self).dist_to_pm_identity()
+        ok = True
+        cusps = True
+        for k, m in enumerate(mats):
+            cls = classify(m)
+            if cls is IsometryClass.ELLIPTIC:
+                ok = False
+            if k >= 2 * pres.genus and cls is not IsometryClass.PARABOLIC:
+                cusps = False
+        return ValidityReport(defect, ok, cusps, ping_pong_certificate(mats[: pres.free_rank]))
 
     def matrix(self, k: int) -> Mat2:
         return self.matrices[k - 1]
@@ -131,8 +147,7 @@ class SurfaceRep:
     def free_rep(cls, mats) -> "SurfaceRep":
         """Wrap free generators A_1..A_m as a punctured surface (g=1, n=m-1);
         the last puncture generator is forced by the relator.  A generator
-        whose det is not 1 raises FrickeError.  The validity, ping-pong
-        certificate included, is derived from the matrices."""
+        whose det is not 1 raises FrickeError."""
         m = len(mats)
         if m < 2:
             raise FrickeError("need at least two generators")
@@ -145,14 +160,13 @@ class SurfaceRep:
         last = partial.inverse()
         if last.tr() < 0:
             last = -last
-        all_mats = tuple(mats) + (last,)
-        return cls(pres, all_mats, _validate(pres, all_mats))
+        return cls(pres, tuple(mats) + (last,))
 
     def conjugated(self, h: Mat2) -> "SurfaceRep":
         det = h.det()
         hinv = Mat2(h.d / det, -h.b / det, -h.c / det, h.a / det)
         mats = tuple((h * m * hinv) for m in self.matrices)
-        return SurfaceRep(self.presentation, mats, _validate(self.presentation, mats))
+        return SurfaceRep(self.presentation, mats)
 
     def digest(self) -> str:
         import hashlib
@@ -189,22 +203,6 @@ def ping_pong_certificate(mats) -> tuple | None:
     if any(abs(x - y) <= r + s for (x, r), (y, s) in itertools.combinations(disks, 2)):
         return None
     return tuple(rows)
-
-
-def _validate(pres: sg.Presentation, mats) -> ValidityReport:
-    rel = sg.relator(pres)
-    rep = SurfaceRep(pres, tuple(mats))
-    r = sg.evaluate(rel, rep)
-    defect = r.dist_to_pm_identity()
-    ok = True
-    cusps = True
-    for k, m in enumerate(mats):
-        cls = classify(m)
-        if cls is IsometryClass.ELLIPTIC:
-            ok = False
-        if k >= 2 * pres.genus and cls is not IsometryClass.PARABOLIC:
-            cusps = False
-    return ValidityReport(defect, ok, cusps, ping_pong_certificate(mats[: pres.free_rank]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +260,11 @@ def rep_from_fricke(v: FrickeVector) -> SurfaceRep:
         partial = partial * gm
     inv = partial.inverse()
     a, b, c, d = (float(x) for x in inv.entries())
-    # the relator fixes the first pair's commutator only up to sign; keep the
-    # first branch in normal form: lambda > 1, 1 attracting for beta_1
-    for sign in (1.0, -1.0):
+    # the relator fixes the first pair's commutator only up to sign, and a
+    # branch's tr[alpha_1, beta_1] is sign * (a + d); keep the first branch in
+    # normal form (lambda > 1, 1 attracting for beta_1), trying tr < 0 first:
+    # the sign of a hyperbolic torus with a hole or cusp (Goldman 2003)
+    for sign in ((-1.0, 1.0) if a + d > 0 else (1.0, -1.0)):
         try:
             alpha1, beta1 = _first_pair(sign * a, sign * b, sign * c, sign * d)
         except FrickeError:
@@ -278,7 +278,7 @@ def rep_from_fricke(v: FrickeVector) -> SurfaceRep:
         ordered += [alpha, beta]
     ordered = tuple(m.to_float() for m in ordered + punct)
     pres = sg.Presentation(genus=g, punctures=n)
-    return SurfaceRep(pres, ordered, _validate(pres, ordered))
+    return SurfaceRep(pres, ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +457,7 @@ def punctured_torus_sample(seed: int) -> SurfaceRep:
         gamma = -comm.inverse()
         if abs(float(gamma.tr()) - 2.0) > 1e-8:
             continue
-        mats = (alpha, beta, gamma)
-        pres = sg.Presentation(genus=1, punctures=1)
-        rep = SurfaceRep(pres, mats, _validate(pres, mats))
+        rep = SurfaceRep(sg.Presentation(genus=1, punctures=1), (alpha, beta, gamma))
         if rep.validity.valid:
             return rep
     raise SamplingFailed("no valid punctured-torus sample")
@@ -478,7 +476,7 @@ def rep_to_json(rep: SurfaceRep) -> str:
         "genus": rep.presentation.genus,
         "punctures": rep.presentation.punctures,
         "matrices": [[_fmt(float(x)) for x in m.entries()] for m in rep.matrices],
-        "validity": rep.validity.as_dict() if rep.validity else None,
+        "validity": rep.validity.as_dict(),
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -505,5 +503,5 @@ def rep_from_json(text: str) -> SurfaceRep:
     except (TypeError, ValueError):
         raise FrickeError("matrix entries must be numbers") from None
     _check_unit_det(mats)
-    return SurfaceRep(pres, mats, _validate(pres, mats))
+    return SurfaceRep(pres, mats)
 

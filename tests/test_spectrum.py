@@ -20,15 +20,12 @@ from speclab.spectrum import (
     spectrum,
     subrelation,
 )
-from speclab.characters import RminVerdict, rmin_test
+from speclab.characters import RminVerdict, random_exact_rep, rmin_test
 import speclab.surface_group as sg
 from speclab.fricke import SurfaceRep
 from speclab.mobius import EPS, IsometryClass, Mat2, classify, translation_length
 
 F2 = sg.Presentation(genus=1, punctures=1)
-
-
-TOY_TOL = 1e-6
 
 
 def _toy_spectrum(named_lengths):
@@ -40,14 +37,14 @@ def _toy_spectrum(named_lengths):
 
 def test_pattern_toy_blocks():
     s = _toy_spectrum([((1,), 1.0), ((2,), 1.0), ((1, 2), 2.0)])
-    p = pattern(s, TOY_TOL)
+    p = pattern(s)
     blocks = {frozenset(str(k) for k in b) for b in p.blocks}
     assert blocks == {frozenset({"a", "b"}), frozenset({"ab"})}
 
 
 def test_pattern_all_distinct_singletons():
     s = _toy_spectrum([((1,), 1.0), ((2,), 1.5), ((1, 2), 2.0)])
-    p = pattern(s, TOY_TOL)
+    p = pattern(s)
     assert all(len(b) == 1 for b in p.blocks)
 
 
@@ -138,16 +135,47 @@ def test_spectrum_walk_matches_given_classes(rep, maxlen):
     assert list(map(repr, walked.traces)) == list(map(repr, given.traces))
 
 
-def test_spectrum_builds_a_matrix_only_at_trace_two_or_below(monkeypatch):
-    rep = modular_torus_rep()
-    built = []
-    evaluate = sg.evaluate
-    monkeypatch.setattr(sg, "evaluate", lambda w, r: built.append(w) or evaluate(w, r))
-    s = spectrum(rep, 6)
+def test_spectrum_builds_no_matrix(monkeypatch):
+    def no_evaluate(w, rep):
+        raise AssertionError(f"built the matrix of {w}")
+
+    monkeypatch.setattr(sg, "evaluate", no_evaluate)
+    s = spectrum(modular_torus_rep(), 6)
     low = [k.word for k, t in zip(s.classes, s.traces) if t <= 2]
-    assert built == low == [(1, 2, -1, -2), (1, -2, -1, 2)]
+    assert low == [(1, 2, -1, -2), (1, -2, -1, 2)]
     # the parabolic commutator and its inverse have length 0
     assert [s.lengths[s.classes.index(sg.ConjClassKey(w))] for w in low] == [0.0, 0.0]
+
+
+def _blocks_by_dict(s):
+    """Exact blocks by grouping positions on |tr| in a dict, groups in order
+    of increasing |tr|: the reference for pattern on an exact spectrum."""
+    groups: dict = {}
+    for i, t in enumerate(s.traces):
+        groups.setdefault(t, []).append(i)
+    return Pattern.from_blocks(s.classes, (groups[t] for t in sorted(groups)))
+
+
+EXACT_REPS = {
+    "modular-torus": (modular_torus_rep(), 8),
+    "random-rank2": (random_exact_rep(2, random.Random(1)), 6),
+    "random-rank3": (random_exact_rep(3, random.Random(5)), 4),
+    "fraction": (
+        SurfaceRep.free_rep(
+            [Mat2(Fraction(3), 0, 0, Fraction(1, 3)), Mat2(*map(Fraction, (2, 3, 1, 2)))]
+        ),
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("rep,maxlen", list(EXACT_REPS.values()), ids=list(EXACT_REPS))
+def test_exact_pattern_matches_dict_grouping(rep, maxlen):
+    s = spectrum(rep, maxlen)
+    assert s.exact
+    p, want = pattern(s), _blocks_by_dict(s)
+    assert (p.order, p.ends) == (want.order, want.ends)
+    assert 1 < p.n_blocks < len(s.classes)  # some classes share a block, not all
 
 
 @pytest.mark.parametrize("num", [int, float], ids=["exact", "float"])
@@ -262,15 +290,6 @@ def test_pattern_blocks_name_positions():
     assert all(where[k] == i for i, b in enumerate(p.blocks) for k in b)
 
 
-@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
-def test_pattern_rejects_bad_tolerance(tol):
-    s = spectrum(schottky_sample(3, 2), 2)
-    with pytest.raises(SpectrumError, match="tolerance"):
-        pattern(s, tol)
-    with pytest.raises(SpectrumError, match="tolerance"):
-        next(scan_generic(3, 1, maxlen=2, tol=tol))
-
-
 def test_scan_generic_checks_rank_before_any_work(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated classes for a rank below 2")
@@ -282,13 +301,13 @@ def test_scan_generic_checks_rank_before_any_work(monkeypatch):
 
 def test_subrelation_reflexive():
     s = _toy_spectrum([((1,), 1.0), ((2,), 1.0), ((1, 2), 2.0)])
-    p = pattern(s, TOY_TOL)
+    p = pattern(s)
     assert subrelation(p, p)["holds"]
 
 
 def test_subrelation_mismatched_class_sets():
-    p1 = pattern(_toy_spectrum([((1,), 1.0)]), TOY_TOL)
-    p2 = pattern(_toy_spectrum([((2,), 1.0)]), TOY_TOL)
+    p1 = pattern(_toy_spectrum([((1,), 1.0)]))
+    p2 = pattern(_toy_spectrum([((2,), 1.0)]))
     with pytest.raises(ClassSetMismatch):
         subrelation(p1, p2)
 
