@@ -15,6 +15,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import boundary, characters, fricke, surface_group as sg
+from .fricke import float_text
 from .mobius import EPS
 # NB: `speclab.spectrum` the attribute is the spectrum() function (it shadows
 # the submodule), so pull what we need from the submodule directly.
@@ -30,10 +31,6 @@ from .spectrum import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VERIFICATION_FAILED = 2
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _indented_list(items: list[str], indent: str) -> str:
@@ -55,14 +52,10 @@ def _out(args, text: str) -> None:
 def _load_rep(args) -> fricke.SurfaceRep:
     sources = [args.rep_file is not None, args.seed is not None]
     if sum(sources) != 1:
-        raise SystemExit2("exactly one of --rep-file / --seed is required")
+        raise ValueError("exactly one of --rep-file / --seed is required")
     if args.rep_file:
         return fricke.rep_from_json(Path(args.rep_file).read_text())
     return fricke.schottky_sample(args.seed, args.rank)
-
-
-class SystemExit2(Exception):
-    pass
 
 
 # -- subcommands -------------------------------------------------------------
@@ -82,7 +75,7 @@ def cmd_spectrum(args) -> int:
         # the text of json.dumps({"class", "length", "trace"}, sort_keys=True)
         fmt = sg.word_formatter(rep.presentation)
         lines = [
-            f'{{"class": {_json_str(fmt(key.word))}, "length": "{_fmt(l)}", "trace": "{_fmt(t)}"}}'
+            f'{{"class": {_json_str(fmt(key.word))}, "length": "{float_text(l)}", "trace": "{float_text(t)}"}}'
             for key, t, l in zip(s.classes, s.traces, s.lengths)
         ]
         _out(args, "\n".join(lines) + "\n")
@@ -106,7 +99,7 @@ def cmd_pattern(args) -> int:
         args,
         f'{{\n  "blocks": {_indented_list(blocks, "  ")},\n'
         f'  "rep_digest": {_json_str(digest)},\n'
-        f'  "tolerance": {_json_str(_fmt(EPS))}\n}}\n',
+        f'  "tolerance": {_json_str(float_text(EPS))}\n}}\n',
     )
     return EXIT_OK
 
@@ -125,22 +118,27 @@ def cmd_compare(args) -> int:
     return EXIT_OK if sub["holds"] else EXIT_VERIFICATION_FAILED
 
 
+def _words(texts, rank: int) -> list:
+    """The words of rank-m text, each freely reduced; ValueError for a rank
+    below 2 or a word that reduces to the identity."""
+    pres = sg.Presentation.free(rank)
+    words = [sg.parse_word(t, pres) for t in texts]
+    if not all(words):
+        raise ValueError("empty word")
+    return words
+
+
 def cmd_tracepoly(args) -> int:
-    pres = sg.Presentation(genus=1, punctures=args.rank - 1)
-    w = sg.parse_word(args.word, pres)
-    if not w:
-        raise SystemExit2("empty word")
+    (w,) = _words([args.word], args.rank)
     p = characters.trace_poly(w, args.rank)
     _out(args, p.text() + "\n")
     return EXIT_OK
 
 
 def cmd_rmin(args) -> int:
-    if args.samples < 1:
-        # checked here, not only in rmin_test: a single word forms no pair
-        raise SystemExit2(f"n_reps must be >= 1, got {args.samples}")
-    pres = sg.Presentation(genus=1, punctures=args.rank - 1)
-    words = [sg.parse_word(t, pres) for t in args.words]
+    words = _words(args.words, args.rank)
+    if len(words) < 2:
+        raise ValueError("rmin needs at least two words")
     lines = []
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
@@ -241,18 +239,18 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     checked against the type of its option."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
-        raise SystemExit2("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     actions = {a.dest: a for a in parser._actions if a.option_strings}
     out = {}
     for key, value in doc.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
-            raise SystemExit2(f"config key {key!r} is not an option of this command")
+            raise ValueError(f"config key {key!r} is not an option of this command")
         want = bool if action.nargs == 0 else action.type or str
         if isinstance(value, bool) is not (want is bool) or not isinstance(value, want):
-            raise SystemExit2(f"config key {key!r}: {value!r} has the wrong type")
+            raise ValueError(f"config key {key!r}: {value!r} has the wrong type")
         if action.choices is not None and value not in action.choices:
-            raise SystemExit2(f"config key {key!r}: {value!r} is not one of {action.choices}")
+            raise ValueError(f"config key {key!r}: {value!r} is not one of {action.choices}")
         out[action.dest] = value
     return out
 
@@ -278,10 +276,9 @@ def main(argv=None) -> int:
             command.set_defaults(**_config_defaults(command, args.config))
             args = _parse(ap, argv)
         if args.needs_seed and args.seed is None:
-            raise SystemExit2("--seed is mandatory for randomized commands")
+            raise ValueError("--seed is mandatory for randomized commands")
         return args.fn(args)
     except (
-        SystemExit2,
         boundary.BoundaryError,
         fricke.FrickeError,
         sg.WordError,

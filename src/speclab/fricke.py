@@ -146,13 +146,11 @@ class SurfaceRep:
     @classmethod
     def free_rep(cls, mats) -> "SurfaceRep":
         """Wrap free generators A_1..A_m as a punctured surface (g=1, n=m-1);
-        the last puncture generator is forced by the relator.  A generator
-        whose det is not 1 raises FrickeError."""
-        m = len(mats)
-        if m < 2:
-            raise FrickeError("need at least two generators")
+        the last puncture generator is forced by the relator.  Fewer than
+        two generators raise ValueError (`Presentation.free`), and a
+        generator whose det is not 1 raises FrickeError."""
+        pres = sg.Presentation.free(len(mats))
         _check_unit_det(mats)
-        pres = sg.Presentation(genus=1, punctures=m - 1)
         a, b = mats[0], mats[1]
         partial = a * b * a.inverse() * b.inverse()
         for g in mats[2:]:
@@ -386,9 +384,9 @@ def schottky_sample(seed: int, m: int = 2) -> SurfaceRep:
     A draw is kept when the certificate derived from the generators' own
     isometric circles exists: all 2m disks pairwise disjoint.  Centres lie
     in [-w, w], w = 4 up to rank 4 and 1.5 m above, so that high ranks fit.
+    m < 2 raises ValueError; 64 draws without a certificate, SamplingFailed.
     """
-    if m < 2:
-        raise FrickeError("need m >= 2")
+    sg.Presentation.free(m)  # the rank check, before the rng is touched
     w = 4.0 if m <= 4 else 1.5 * m
     rng = random.Random(seed)
     for _ in range(64):
@@ -467,7 +465,9 @@ def punctured_torus_sample(seed: int) -> SurfaceRep:
 # Serialization.
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
+def float_text(x) -> str:
+    """x as a float to 17 significant digits, enough to read back the same
+    double: the one number format of rep files, spectrum rows and patterns."""
     return f"{float(x):.17g}"
 
 
@@ -475,7 +475,7 @@ def rep_to_json(rep: SurfaceRep) -> str:
     doc = {
         "genus": rep.presentation.genus,
         "punctures": rep.presentation.punctures,
-        "matrices": [[_fmt(float(x)) for x in m.entries()] for m in rep.matrices],
+        "matrices": [[float_text(x) for x in m.entries()] for m in rep.matrices],
         "validity": rep.validity.as_dict(),
     }
     return json.dumps(doc, indent=2, sort_keys=True)

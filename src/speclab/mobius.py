@@ -93,11 +93,8 @@ class Mat2:
         return min(self.max_diff(i), (-self).max_diff(i))
 
     def psl_normalized(self) -> "Mat2":
-        """PSL2 representative with tr >= 0 (tr = 0 left as is)."""
-        t = self.tr()
-        if self.exact():
-            return -self if t < 0 else self
-        return -self if t < -EPS else self
+        """PSL2 representative with tr >= 0 (tr within `trace_gap` of 0 kept)."""
+        return -self if self.tr() < -trace_gap(self.exact()) else self
 
     @cached_property
     def disk(self) -> tuple[complex, complex, complex, complex]:
@@ -129,26 +126,27 @@ def identity() -> Mat2:
     return Mat2(1, 0, 0, 1)
 
 
+def trace_gap(exact: bool):
+    """Half-width of the |tr| = 2 window that `classify`, `spectrum` and
+    `pattern` read: 0 for exact entries, EPS for floats."""
+    return 0 if exact else EPS
+
+
 def classify(m: Mat2) -> IsometryClass:
-    """Classify by |tr| relative to 2.  Only at |tr| = 2 (within EPS for
-    floats) are the entries read, to tell +-I (identity) from a parabolic."""
-    if m.exact():
-        at = abs(m.tr())
-        if at == 2 and m in (identity(), -identity()):
-            return IsometryClass.IDENTITY
-        if at > 2:
-            return IsometryClass.HYPERBOLIC
-        if at == 2:
-            return IsometryClass.PARABOLIC
-        return IsometryClass.ELLIPTIC
-    at = abs(float(m.tr()))
-    if at > 2 + EPS:
+    """Classify by |tr| relative to the window 2 +- `trace_gap`.  Only inside
+    the window are the entries read, to tell +-I (identity, every entry
+    within the gap) from a parabolic.  A NaN trace is ELLIPTIC."""
+    exact = m.exact()
+    gap = trace_gap(exact)
+    at = abs(m.tr()) if exact else abs(float(m.tr()))
+    if at > 2 + gap:
         return IsometryClass.HYPERBOLIC
-    if at >= 2 - EPS:
-        if m.dist_to_pm_identity() <= EPS:
+    if not at >= 2 - gap:
+        return IsometryClass.ELLIPTIC
+    for s in (1, -1):
+        if all(abs(x - y) <= gap for x, y in zip(m.entries(), (s, 0, 0, s))):
             return IsometryClass.IDENTITY
-        return IsometryClass.PARABOLIC
-    return IsometryClass.ELLIPTIC
+    return IsometryClass.PARABOLIC
 
 
 def translation_length(m: Mat2) -> float:

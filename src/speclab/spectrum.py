@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import characters, surface_group as sg
-from .fricke import SamplingFailed, SurfaceRep, schottky_sample
+from .fricke import SamplingFailed, SurfaceRep, float_text, schottky_sample
 # classify is not called here: perfbench/selftest.py checks that its tracer wraps this copy
-from .mobius import EPS, Mat2, classify  # noqa: F401
+from .mobius import Mat2, classify, trace_gap  # noqa: F401
 
 
 class SpectrumError(Exception):
@@ -39,26 +39,22 @@ class LengthSpectrum:
         return list(zip(self.classes, self.traces, self.lengths))
 
 
-def _gap(exact: bool):
-    """The equal-length rule's one gap: 0 for exact reps, EPS for float reps."""
-    return 0 if exact else EPS
-
-
 def spectrum(rep: SurfaceRep, maxlen: int, classes=None) -> LengthSpectrum:
     """|trace| and translation length of every class, read from |tr| alone.
 
     Without `classes` the keys and traces come from one walk of the necklace
     tree (`surface_group.class_traces`); given classes are evaluated with
-    `evaluate_many`.  Above 2 + `_gap` the length is 2 acosh(|tr|/2), which
-    assumes det = 1; from 2 - `_gap` up it is 0.0 (parabolic or identity);
-    below, the class is elliptic and EllipticClassFound is raised."""
+    `evaluate_many`.  The window is `mobius.trace_gap`, as in `classify`:
+    above 2 + gap the length is 2 acosh(|tr|/2), which assumes det = 1; from
+    2 - gap up it is 0.0 (parabolic or identity); below, the class is
+    elliptic and EllipticClassFound is raised."""
     if classes is None:
         classes, traces = sg.class_traces(rep, maxlen)
     else:
         classes = tuple(classes)
         traces = [a + d for a, _, _, d in sg.evaluate_many([k.word for k in classes], rep)]
     exact = all(m.exact() for m in rep.matrices)
-    gap = _gap(exact)
+    gap = trace_gap(exact)
     top, bottom = 2 + gap, 2 - gap
     acosh = math.acosh
     lengths = []
@@ -126,8 +122,8 @@ class Pattern:
 def pattern(s: LengthSpectrum) -> Pattern:
     """Equal-length blocks in order of increasing length: the classes sorted
     (stably, by position) on |tr| for an exact spectrum or on length for a
-    float one, cut wherever neighbours differ by more than `_gap`."""
-    keys, gap = (s.traces if s.exact else s.lengths), _gap(s.exact)
+    float one, cut wherever neighbours differ by more than `mobius.trace_gap`."""
+    keys, gap = (s.traces if s.exact else s.lengths), trace_gap(s.exact)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     ends = [k for k in range(1, len(order)) if not keys[order[k]] - keys[order[k - 1]] <= gap]
     if order:
@@ -180,13 +176,13 @@ def scan_generic(
     pattern R_g with the minimal pattern R_min on the enumerated classes.
 
     Yields one JSON-ready dict per trial.  R_min must be a sub-relation of
-    R_g in every trial; collapsed means the two partitions agree.
+    R_g in every trial; collapsed means the two partitions agree.  m < 2
+    raises ValueError before any work.  Each trial draws once; a failed draw
+    raises SpectrumError naming the trial and its seed, for replay.
     """
-    if m < 2:
-        raise SpectrumError(f"need m >= 2, got {m}")
+    pres = sg.Presentation.free(m)
     if trials < 1:
         raise SpectrumError("trials must be >= 1")
-    pres = sg.Presentation(genus=1, punctures=m - 1)
     classes = tuple(sg.enumerate_classes(pres, maxlen))
     pmin = rmin_pattern(classes, m)
 
@@ -212,14 +208,10 @@ def scan_generic(
         start = 1
     for i in range(start, trials + start):
         trial_seed = seed ^ (i * 0x9E3779B1)
-        for retry in range(8):
-            try:
-                rep = schottky_sample(trial_seed + retry * 7919, m)
-                break
-            except SamplingFailed:
-                continue
-        else:
-            raise SpectrumError(f"trial {i} (seed {trial_seed}): all 8 draws failed")
+        try:
+            rep = schottky_sample(trial_seed, m)
+        except SamplingFailed as exc:
+            raise SpectrumError(f"trial {i} (seed {trial_seed}): {exc}") from None
         yield one_trial(i, rep, trial_seed)
 
 
@@ -231,5 +223,5 @@ def modular_torus_rep() -> SurfaceRep:
 def rows_to_csv(rows) -> str:
     lines = ["class,trace,length"]
     for key, t, l in rows:
-        lines.append(f"{str(key).replace(' ', '.')},{float(t):.17g},{float(l):.17g}")
+        lines.append(f"{str(key).replace(' ', '.')},{float_text(t)},{float_text(l)}")
     return "\n".join(lines) + "\n"

@@ -39,6 +39,14 @@ class Presentation:
         if 2 * self.genus + self.punctures < 2:
             raise ValueError("need 2g + n >= 2 (non-elementary)")
 
+    @classmethod
+    def free(cls, m: int) -> "Presentation":
+        """The punctured surface whose group is free of rank m: genus 1 with
+        m - 1 punctures.  ValueError for m < 2."""
+        if m < 2:
+            raise ValueError(f"need m >= 2, got {m}")
+        return cls(genus=1, punctures=m - 1)
+
     @property
     def num_generators(self) -> int:
         """All presentation generators, punctures included."""
@@ -273,17 +281,14 @@ def evaluate_many(words, rep):
 # -- text serialization ------------------------------------------------------
 
 def word_formatter(p: Presentation):
-    """`format_word` for one presentation, with the letter -> name table
-    built once: +k prints as the k-th generator's name, -k in upper case."""
+    """A function printing words of one presentation, with the letter ->
+    name table built once: +k prints as the k-th generator's name, -k in
+    upper case."""
     names = {}
     for k in range(1, p.num_generators + 1):
         names[k] = p.generator_name(k)
         names[-k] = names[k].upper()
     return lambda w: " ".join(map(names.__getitem__, w))
-
-
-def format_word(w, p: Presentation) -> str:
-    return word_formatter(p)(w)
 
 
 def parse_word(text: str, p: Presentation) -> Word:

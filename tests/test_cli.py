@@ -112,12 +112,16 @@ def test_rmin_rejects_samples_below_one(samples, capsys):
     assert "error: n_reps must be >= 1" in captured.err
 
 
-def test_rmin_rejects_zero_samples_given_a_single_word(capsys):
-    # a single word forms no pair, so rmin_test alone would never see --samples
-    assert main(["rmin", "--seed", "3", "--samples", "0", "ab"]) == 1
+@pytest.mark.parametrize(
+    "words,message",
+    [(["ab"], "rmin needs at least two words"), (["ab", "aA"], "empty word")],
+    ids=["single-word", "trivial-word"],
+)
+def test_rmin_needs_two_nontrivial_words(words, message, capsys):
+    # a single word forms no pair, and aA reduces to the identity
+    assert main(["rmin", "--seed", "3", *words]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: n_reps must be >= 1")
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_cocycle_verify_rejection_cap_is_input_error(monkeypatch, capsys):
@@ -304,8 +308,22 @@ def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys):
         assert err.startswith("error: ") and "config key" in err
 
 
-def test_scan_rank_below_two_is_input_error(capsys):
-    assert main(["scan", "--seed", "1", "--rank", "1", "--trials", "1", "--maxlen", "3"]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--seed", "1"],
+        ["spectrum", "--seed", "1", "--maxlen", "3"],
+        ["pattern", "--seed", "1", "--maxlen", "3"],
+        ["tracepoly", "--word", "ab"],
+        ["rmin", "--seed", "1", "ab", "ba"],
+        ["scan", "--seed", "1", "--trials", "1", "--maxlen", "3"],
+        ["cocycle-verify", "--seed", "1", "--samples", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_scan_rank_below_two_is_input_error(argv, capsys):
+    # every command checks the rank in one place, Presentation.free
+    assert main([*argv, "--rank", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: need m >= 2, got 1\n"
 

@@ -126,6 +126,18 @@ def test_spectrum_kernel_branches_are_reached():
 
 
 @pytest.mark.parametrize("rep,maxlen", list(KERNEL_REPS.values()), ids=list(KERNEL_REPS))
+def test_spectrum_zero_lengths_are_the_classify_window(rep, maxlen):
+    # spectrum and classify read one |tr| = 2 window (mobius.trace_gap): the
+    # classes of length exactly 0.0 are those classify calls PARABOLIC or
+    # IDENTITY, and none of them is ELLIPTIC
+    s = spectrum(rep, maxlen)
+    kinds = [classify(sg.evaluate(k.word, rep)) for k in s.classes]
+    assert IsometryClass.ELLIPTIC not in kinds
+    zero = [l == 0.0 for l in s.lengths]
+    assert zero == [c in (IsometryClass.PARABOLIC, IsometryClass.IDENTITY) for c in kinds]
+
+
+@pytest.mark.parametrize("rep,maxlen", list(KERNEL_REPS.values()), ids=list(KERNEL_REPS))
 def test_spectrum_walk_matches_given_classes(rep, maxlen):
     # keys and traces from the necklace walk, against evaluate_many on the
     # enumerated classes
@@ -295,7 +307,7 @@ def test_scan_generic_checks_rank_before_any_work(monkeypatch):
         raise AssertionError("enumerated classes for a rank below 2")
 
     monkeypatch.setattr(sg, "enumerate_classes", no_enumeration)
-    with pytest.raises(SpectrumError, match="need m >= 2"):
+    with pytest.raises(ValueError, match="need m >= 2, got 1"):
         next(scan_generic(1, 1, maxlen=3, m=1))
 
 
@@ -355,24 +367,8 @@ def test_scan_generic_records():
     assert len(set(seeds)) == len(seeds)
 
 
-def test_scan_generic_retries_failed_sample(monkeypatch):
-    calls = []
-
-    def flaky(seed, m):
-        calls.append(seed)
-        if len(calls) == 1:
-            raise SamplingFailed("injected")
-        return schottky_sample(seed, m)
-
-    monkeypatch.setattr(sys.modules["speclab.spectrum"], "schottky_sample", flaky)
-    recs = list(scan_generic(99, 3, maxlen=3))
-    assert [r["trial"] for r in recs] == [0, 1, 2]
-    assert calls[1] == calls[0] + 7919  # the failed draw is retried, not the trial dropped
-    assert recs[0]["rep_digest"] == schottky_sample(calls[1], 2).digest()
-
-
 def test_scan_generic_does_not_retry_a_spectrum_error(monkeypatch):
-    # a SpectrumError is a fault, not a bad draw: only SamplingFailed is retried
+    # a SpectrumError is a fault, not a bad draw: the scan ends at once
     module = sys.modules["speclab.spectrum"]
     real, calls = module.spectrum, []
 

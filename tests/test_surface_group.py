@@ -16,13 +16,13 @@ from speclab.surface_group import (
     enumerate_classes,
     evaluate,
     evaluate_many,
-    format_word,
     free_reduce,
     invert,
     least_rotation,
     letter_code,
     parse_word,
     relator,
+    word_formatter,
 )
 from speclab.fricke import SurfaceRep, schottky_sample
 from speclab.spectrum import modular_torus_rep
@@ -342,7 +342,7 @@ def test_evaluate_many_is_lazy():
 def test_word_text_roundtrip():
     for text in ("a1 B1 a1", "abAB", "a1", "g1"):
         w = parse_word(text, F2)
-        assert parse_word(format_word(w, F2), F2) == w
+        assert parse_word(word_formatter(F2)(w), F2) == w
 
 
 def test_parse_word_compact_and_spaced_agree():
