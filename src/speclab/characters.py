@@ -436,13 +436,12 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     partition = [tuple(v) for v in blocks.values()]
     rng = random.Random(seed)
     reps = [random_exact_rep(m, rng) for _ in range(n_reps)]
-    words = [block[0].word for block in partition]
-    fingerprints = [()] * len(words)
-    live = range(len(words))  # ascending block positions
+    fingerprints = [()] * len(partition)
+    live = range(len(partition))  # ascending block positions
     for rep in reps:
-        entries = sg.evaluate_many([words[i] for i in live], rep)
-        for i, (a, _, _, d) in zip(live, entries):
-            fingerprints[i] += (abs(a + d),)
+        traces = sg.compile_classes([partition[i][0] for i in live]).traces(rep)
+        for i, t in zip(live, traces):
+            fingerprints[i] += (abs(t),)
         seen = Counter(fingerprints[i] for i in live)
         live = [i for i in live if seen[fingerprints[i]] > 1]
     # live is in block order, so groups come in the order of their first block

@@ -43,16 +43,18 @@ def spectrum(rep: SurfaceRep, maxlen: int, classes=None) -> LengthSpectrum:
     """|trace| and translation length of every class, read from |tr| alone.
 
     Without `classes` the keys and traces come from one walk of the necklace
-    tree (`surface_group.class_traces`); given classes are evaluated with
-    `evaluate_many`.  The window is `mobius.trace_gap`, as in `classify`:
-    above 2 + gap the length is 2 acosh(|tr|/2), which assumes det = 1; from
-    2 - gap up it is 0.0 (parabolic or identity); below, the class is
-    elliptic and EllipticClassFound is raised."""
+    tree (`surface_group.class_traces`).  Given classes are a list of keys,
+    compiled here, or a `surface_group.ClassProgram` that the caller
+    compiled once for many reps; the program is run for rep.  The window is
+    `mobius.trace_gap`, as in `classify`: above 2 + gap the length is
+    2 acosh(|tr|/2), which assumes det = 1; from 2 - gap up it is 0.0
+    (parabolic or identity); below, the class is elliptic and
+    EllipticClassFound is raised."""
     if classes is None:
         classes, traces = sg.class_traces(rep, maxlen)
     else:
-        classes = tuple(classes)
-        traces = [a + d for a, _, _, d in sg.evaluate_many([k.word for k in classes], rep)]
+        program = classes if isinstance(classes, sg.ClassProgram) else sg.compile_classes(classes)
+        classes, traces = program.classes, program.traces(rep)
     exact = all(m.exact() for m in rep.matrices)
     gap = trace_gap(exact)
     top, bottom = 2 + gap, 2 - gap
@@ -176,18 +178,24 @@ def scan_generic(
     pattern R_g with the minimal pattern R_min on the enumerated classes.
 
     Yields one JSON-ready dict per trial.  R_min must be a sub-relation of
-    R_g in every trial; collapsed means the two partitions agree.  m < 2
-    raises ValueError before any work.  Each trial draws once; a failed draw
-    raises SpectrumError naming the trial and its seed, for replay.
+    R_g in every trial; collapsed means the two partitions agree.  m < 2,
+    or the arithmetic point (the rank-2 modular torus) at m != 2, raises
+    ValueError before any work.  The classes are compiled once
+    (`surface_group.compile_classes`), so each trial only multiplies.  Each
+    trial draws once; a failed draw raises SpectrumError naming the trial
+    and its seed, for replay.
     """
     pres = sg.Presentation.free(m)
+    if include_arithmetic_point and m != 2:
+        raise ValueError(f"the arithmetic point is a rank-2 rep, got m = {m}")
     if trials < 1:
         raise SpectrumError("trials must be >= 1")
     classes = tuple(sg.enumerate_classes(pres, maxlen))
     pmin = rmin_pattern(classes, m)
+    program = sg.compile_classes(classes)
 
     def one_trial(index, rep, trial_seed):
-        s = spectrum(rep, maxlen, classes=classes)
+        s = spectrum(rep, maxlen, classes=program)
         pg = pattern(s)
         sub = subrelation(pmin, pg)
         return {

@@ -168,7 +168,7 @@ def _necklaces(rank: int, maxlen: int, gens=None):
     letter, one 2x2 multiply per walk node, left to right from the identity
     (1, 0, 0, 1) with the sums of Mat2.__mul__; each leaf's trace, prefix
     times last letter, is (A P + B R) + (C Q + D S).  That is `a + d` of
-    the chain `evaluate_many` forms, so every trace is bit-identical to it.
+    the chain `evaluate` forms, so every trace is bit-identical to it.
     Returns (keys, traces); traces is None without `gens`."""
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
@@ -231,51 +231,92 @@ def enumerate_classes(p: Presentation, maxlen: int) -> list[ConjClassKey]:
 def class_traces(rep, maxlen: int) -> tuple[list[ConjClassKey], list]:
     """enumerate_classes(rep.presentation, maxlen) and the trace a + d of
     each class word's product, from one walk of the necklace tree; each
-    trace is bit-identical to `a + d` from `evaluate_many`."""
+    trace is bit-identical to `a + d` from `evaluate` and to the trace a
+    `ClassProgram` reads."""
     gens = []
     for m in rep.matrices[: rep.presentation.free_rank]:
         gens += [m.entries(), m.inverse().entries()]
     return _necklaces(rep.presentation.free_rank, maxlen, gens)
 
 
-def evaluate(w, rep) -> Mat2:
-    """Product of generator matrices along the word."""
-    return Mat2(*next(evaluate_many([w], rep)))
-
-
-def evaluate_many(words, rep):
-    """Yield the entries (a, b, c, d) of each word's product, in the order given.
-
-    This serves given word lists: `spectrum` on given classes (as `scan`
-    passes them), the fingerprints of `rmin_pairs`, and `evaluate`.  The
-    spectrum of all classes up to a length takes its traces from the
-    necklace walk instead (`class_traces`).
-
-    The products of the previous word's prefixes are kept on a stack; each
-    word reuses the longest prefix it shares with the previous one and costs
-    one 2x2 multiply per letter after it.  Products are formed left to right
-    from the identity (1, 0, 0, 1) with the sums of Mat2.__mul__, so every
-    entry is bit-identical to that chain of Mat2 products."""
+def _letter_table(rep) -> dict:
+    """Entries of each letter's matrix: +k the k-th of `rep.matrices`, -k
+    its inverse."""
     gens = {}
     for k, m in enumerate(rep.matrices, 1):
         gens[k] = m.entries()
         gens[-k] = m.inverse().entries()
-    stack = [(1, 0, 0, 1)]
-    prev: Word = ()
-    for w in words:
-        n = 0
-        for x, y in zip(prev, w):
-            if x != y:
-                break
-            n += 1
-        del stack[n + 1 :]
-        a, b, c, d = stack[-1]
-        for x in w[n:]:
-            p, q, r, s = gens[x]
-            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-            stack.append((a, b, c, d))
-        prev = w
-        yield stack[-1]
+    return gens
+
+
+def evaluate(w, rep) -> Mat2:
+    """Product of generator matrices along the word, folded left to right
+    from the identity (1, 0, 0, 1) with the sums of Mat2.__mul__."""
+    gens = _letter_table(rep)
+    a, b, c, d = 1, 0, 0, 1
+    for x in w:
+        p, q, r, s = gens[x]
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return Mat2(a, b, c, d)
+
+
+class ClassProgram(NamedTuple):
+    """A list of class keys compiled once to the products its traces need,
+    then run once per rep (`traces`).
+
+    This serves given class lists: `spectrum` on given classes (a scan
+    compiles its shared classes once for all trials) and the fingerprints
+    of `rmin_pairs`.  The spectrum of all classes up to a length takes its
+    traces from the necklace walk instead (`class_traces`).
+
+    The program is a prefix tree over the whole list: node 0 is the empty
+    prefix, and node i > 0 is (parent node, letter), one node per distinct
+    proper prefix of a word.  A word is (node of its prefix, last letter);
+    the empty word is (0, 0), and letter 0 reads the identity.  Products
+    are formed left to right from (1, 0, 0, 1) with the sums of
+    Mat2.__mul__, and a word's trace is read as (A P + B R) + (C Q + D S)
+    from its prefix's product and its last letter, so every trace is
+    bit-identical to `a + d` of `evaluate`."""
+
+    classes: tuple  # the compiled keys, in the order given
+    nodes: tuple  # (parent node, letter) of nodes 1, 2, ...
+    leaves: tuple  # (prefix node, last letter) of each class
+
+    def traces(self, rep) -> list:
+        """The trace of each class's product under rep, in class order:
+        ints for an exact rep, as `evaluate` gives them."""
+        gens = _letter_table(rep)
+        gens[0] = (1, 0, 0, 1)
+        prods = [(1, 0, 0, 1)]
+        add = prods.append
+        for parent, x in self.nodes:
+            A, B, C, D = prods[parent]
+            P, Q, R, S = gens[x]
+            add((A * P + B * R, A * Q + B * S, C * P + D * R, C * Q + D * S))
+        out = []
+        add = out.append
+        for node, x in self.leaves:
+            A, B, C, D = prods[node]
+            P, Q, R, S = gens[x]
+            add((A * P + B * R) + (C * Q + D * S))
+        return out
+
+
+def compile_classes(classes) -> ClassProgram:
+    """The program of a list of class keys, in the order given: each key's
+    `word` may be any word, in any order, repeats and () included.  A node
+    is keyed by itself, (parent node, letter), which names its prefix, so
+    prefixes are shared across the whole list."""
+    classes = tuple(classes)
+    node: dict[tuple[int, int], int] = {}  # (parent node, letter) -> node, in order made
+    leaves = []
+    for key in classes:
+        w = key.word
+        parent = 0
+        for x in w[:-1]:
+            parent = node.setdefault((parent, x), len(node) + 1)
+        leaves.append((parent, w[-1]) if w else (0, 0))
+    return ClassProgram(classes, tuple(node), tuple(leaves))
 
 
 # -- text serialization ------------------------------------------------------

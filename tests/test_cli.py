@@ -328,6 +328,14 @@ def test_scan_rank_below_two_is_input_error(argv, capsys):
     assert captured.out == "" and captured.err == "error: need m >= 2, got 1\n"
 
 
+def test_scan_arithmetic_point_at_rank_three_is_input_error(capsys):
+    argv = ["scan", "--seed", "1", "--rank", "3", "--trials", "1", "--maxlen", "3"]
+    assert main([*argv, "--arithmetic-point"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the arithmetic point is a rank-2 rep, got m = 3\n"
+
+
 def test_format_is_a_spectrum_option_only(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pattern", "--seed", "4", "--maxlen", "2", "--format", "csv"])

@@ -139,8 +139,8 @@ def test_spectrum_zero_lengths_are_the_classify_window(rep, maxlen):
 
 @pytest.mark.parametrize("rep,maxlen", list(KERNEL_REPS.values()), ids=list(KERNEL_REPS))
 def test_spectrum_walk_matches_given_classes(rep, maxlen):
-    # keys and traces from the necklace walk, against evaluate_many on the
-    # enumerated classes
+    # keys and traces from the necklace walk, against the compiled program
+    # of the enumerated classes
     walked = spectrum(rep, maxlen)
     given = spectrum(rep, maxlen, classes=sg.enumerate_classes(rep.presentation, maxlen))
     assert walked == given
@@ -309,6 +309,38 @@ def test_scan_generic_checks_rank_before_any_work(monkeypatch):
     monkeypatch.setattr(sg, "enumerate_classes", no_enumeration)
     with pytest.raises(ValueError, match="need m >= 2, got 1"):
         next(scan_generic(1, 1, maxlen=3, m=1))
+
+
+def test_scan_generic_arithmetic_point_needs_rank_two(monkeypatch):
+    # the arithmetic point is the rank-2 modular torus: against rank-3
+    # classes it would read letter c as its puncture generator
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated classes for the arithmetic point at rank 3")
+
+    monkeypatch.setattr(sg, "enumerate_classes", no_enumeration)
+    with pytest.raises(ValueError, match="the arithmetic point is a rank-2 rep, got m = 3"):
+        next(scan_generic(1, 1, maxlen=3, m=3, include_arithmetic_point=True))
+
+
+def test_scan_generic_compiles_its_classes_once(monkeypatch):
+    module = sys.modules["speclab.spectrum"]
+    real_compile, real_spectrum = sg.compile_classes, module.spectrum
+    compiled, spectra = [], []
+
+    def counted_compile(classes):
+        compiled.append(classes)
+        return real_compile(classes)
+
+    def counted_spectrum(*args, **kwargs):
+        spectra.append(args)
+        return real_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(sg, "compile_classes", counted_compile)
+    monkeypatch.setattr(module, "spectrum", counted_spectrum)
+    recs = list(scan_generic(1, 5, maxlen=4, include_arithmetic_point=True))
+    # each trial runs the one program; the arithmetic point is trial 0
+    assert len(compiled) == 1 and len(spectra) == len(recs) == 5 + 1
+    assert compiled[0] == tuple(sg.enumerate_classes(F2, 4))
 
 
 def test_subrelation_reflexive():

@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 from math import gcd
 
@@ -8,14 +7,15 @@ import pytest
 from speclab.mobius import Mat2, identity
 from speclab.characters import random_exact_rep
 from speclab.surface_group import (
+    ConjClassKey,
     EmptyWord,
     Presentation,
     canonical_class,
     class_traces,
+    compile_classes,
     cyclic_reduce,
     enumerate_classes,
     evaluate,
-    evaluate_many,
     free_reduce,
     invert,
     least_rotation,
@@ -222,7 +222,8 @@ def test_evaluate_is_homomorphism():
 
 def _chain(w, rep):
     """Entries of the left-to-right Mat2.__mul__ chain from the identity:
-    the oracle of evaluate_many, which does not call Mat2.__mul__."""
+    the oracle of `evaluate` and of the compiled programs, which do not
+    call Mat2.__mul__."""
     out = identity()
     for x in w:
         m = rep.matrix(abs(x))
@@ -230,6 +231,19 @@ def _chain(w, rep):
     return out.entries()
 
 
+def _run(words, rep):
+    """Traces of the words from one compiled program."""
+    program = compile_classes(map(ConjClassKey, words))
+    assert [k.word for k in program.classes] == list(words)
+    return program.traces(rep)
+
+
+def _chain_traces(words, rep):
+    return [a + d for a, _, _, d in (_chain(w, rep) for w in words)]
+
+
+# These tests keep the ids they had when given lists were evaluated by
+# `evaluate_many`, which the compiled program replaced; they test the program.
 @pytest.mark.parametrize(
     "p,maxlen,rep",
     [
@@ -244,21 +258,35 @@ def test_evaluate_many_matches_evaluate_on_class_lists(p, maxlen, rep, inverted)
     for L in range(1, maxlen + 1):
         words = [k.word for k in enumerate_classes(p, L)]
         if inverted:
-            # inverse words are not least rotations: evaluate_many must not
+            # inverse words are not least rotations: the program must not
             # depend on the canonical form
             words = [invert(w) for w in words]
-        # exact tuple equality: the same products in the same order
-        assert list(evaluate_many(words, rep)) == [_chain(w, rep) for w in words]
+        # the same scalar sums in the same order: equal traces, floats by repr
+        assert list(map(repr, _run(words, rep))) == list(map(repr, _chain_traces(words, rep)))
     assert [evaluate(w, rep).entries() for w in words] == [_chain(w, rep) for w in words]
 
 
-@pytest.mark.parametrize("rep", [schottky_sample(3, 2), modular_torus_rep()], ids=["float", "exact"])
-def test_evaluate_many_any_order(rep):
-    words = [k.word for k in enumerate_classes(F2, 5)]
+@pytest.mark.parametrize(
+    "p,rep",
+    [
+        (F2, schottky_sample(3, 2)),
+        (F2, modular_torus_rep()),
+        (Presentation(1, 2), schottky_sample(4, 3)),
+    ],
+    ids=["float", "exact", "m3-float"],
+)
+def test_evaluate_many_any_order(p, rep):
+    words = [k.word for k in enumerate_classes(p, 5)]
     rng = random.Random(5)
     shuffled = rng.choices(words, k=2 * len(words))  # repeats, and no shared order
-    for ws in (shuffled, [(), (1, 2), (), (1, 2), (1,), ()], [(1, -2, 1)], []):
-        assert list(evaluate_many(ws, rep)) == [_chain(w, rep) for w in ws]
+    inverted = [invert(w) for w in rng.sample(words, len(words))]
+    for ws in (shuffled, inverted, [(), (1, 2), (), (1, 2), (1,), ()], [(1, -2, 1)], [()], []):
+        traces = _run(ws, rep)
+        assert list(map(repr, traces)) == list(map(repr, _chain_traces(ws, rep)))
+        # the empty word reads the identity: the int 2, for any rep
+        assert [t for w, t in zip(ws, traces) if not w] == [2] * ws.count(())
+        if all(m.exact() for m in rep.matrices):
+            assert all(type(t) is int for t in traces)
 
 
 WALK_REPS = {
@@ -278,13 +306,14 @@ def test_class_traces_match_evaluate_many(rep):
     for maxlen in range(1, 7):
         keys, traces = class_traces(rep, maxlen)
         assert keys == enumerate_classes(rep.presentation, maxlen)
-        chain = [a + d for a, _, _, d in evaluate_many([k.word for k in keys], rep)]
+        program = compile_classes(keys).traces(rep)
+        chain = _chain_traces([k.word for k in keys], rep)
         if exact:
-            assert traces == chain
-            assert all(type(t) is int for t in traces)
+            assert traces == program == chain
+            assert all(type(t) is int for t in traces + program)
         else:
             # bit-identical floats, signed zeros included
-            assert list(map(repr, traces)) == list(map(repr, chain))
+            assert list(map(repr, traces)) == list(map(repr, program)) == list(map(repr, chain))
 
 
 def test_walks_reject_maxlen_below_one():
@@ -322,21 +351,17 @@ def test_evaluate_many_multiplies_once_per_letter_after_shared_prefix(monkeypatc
     counted = SurfaceRep(
         rep.presentation, tuple(Mat2(*map(_Counted, m.entries())) for m in rep.matrices)
     )
-    words = [k.word for k in enumerate_classes(F2, 8)]
+    keys = enumerate_classes(F2, 8)
+    program = compile_classes(keys)
     monkeypatch.setattr(_Counted, "products", 0)
-    out = [tuple(x.x for x in e) for e in evaluate_many(words, counted)]
-    new_letters = sum(
-        len(w) - len(os.path.commonprefix([v, w])) for v, w in zip([()] + words, words)
-    )
-    # one 2x2 multiply (8 scalar products) per letter after the shared prefix
-    assert _Counted.products == 8 * new_letters == 8 * 3097  # evaluate: one per letter, 10112
-    assert out == list(evaluate_many(words, rep))
-
-
-def test_evaluate_many_is_lazy():
-    out = evaluate_many(iter([(1,), (1, 2)]), modular_torus_rep())
-    assert next(out) == (1, 1, 1, 2)
-    assert next(out) == (Mat2(1, 1, 1, 2) * Mat2(1, -1, -1, 2)).entries()
+    out = [t.x for t in program.traces(counted)]
+    # one 2x2 multiply (8 scalar products) per distinct proper prefix in the
+    # whole list, and 4 scalar products per word for its trace; prefixes
+    # shared with the previous word only would make 1711 nodes, not 1028
+    prefixes = {k.word[:n] for k in keys for n in range(1, len(k.word))}
+    assert len(prefixes) == 1028 and len(keys) == 1386
+    assert _Counted.products == 8 * len(prefixes) + 4 * len(keys) == 13768
+    assert out == program.traces(rep)
 
 
 def test_word_text_roundtrip():
