@@ -30,7 +30,7 @@ from .fricke import (
     rep_from_fricke,
     schottky_sample,
 )
-from .characters import RminVerdict, TracePoly, eval_trace_poly, rmin_pairs, rmin_test, trace_poly
+from .characters import RminVerdict, TracePoly, rmin_pairs, rmin_test, trace_poly
 from .spectrum import Pattern, pattern, scan_generic, spectrum, subrelation
 from . import boundary
 
@@ -55,7 +55,6 @@ __all__ = [
     "canonical_class",
     "classify",
     "enumerate_classes",
-    "eval_trace_poly",
     "evaluate",
     "fixed_points",
     "free_reduce",

@@ -82,12 +82,6 @@ class TracePoly:
             out[m] = out.get(m, 0) + c
         return TracePoly(out)
 
-    def __sub__(self, other: "TracePoly") -> "TracePoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return TracePoly(out)
-
     def __neg__(self) -> "TracePoly":
         return TracePoly({m: -c for m, c in self.terms.items()})
 
@@ -98,9 +92,6 @@ class TracePoly:
                 key = m1 + m2
                 out[key] = out.get(key, 0) + c1 * c2
         return TracePoly(out)
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in _factors(m)) for m in self.terms), default=0)
 
     def evaluate(self, char_values: dict[int, object]):
         """Substitute numeric character values keyed by subset bitmask."""
@@ -331,12 +322,6 @@ def character_values(rep, m: int) -> dict[int, object]:
     return out
 
 
-def eval_trace_poly(p: TracePoly, rep, m: int | None = None):
-    if m is None:
-        m = rep.presentation.free_rank
-    return p.evaluate(character_values(rep, m))
-
-
 def random_exact_rep(m: int, rng: random.Random):
     """Random integer SL2 representation (products of elementary matrices)."""
     from .fricke import SurfaceRep  # local import to avoid a cycle
@@ -357,8 +342,6 @@ def random_exact_rep(m: int, rng: random.Random):
 @dataclass(frozen=True)
 class RminVerdict:
     kind: str  # "equal" | "probably_equal" | "distinct"
-    witness_rep: object = None
-    traces: tuple = ()
 
     EQUAL = "equal"
     PROBABLY_EQUAL = "probably_equal"
@@ -399,46 +382,26 @@ def rmin_blocks(classes, m: int) -> dict[tuple, list]:
     return blocks
 
 
-def rmin_test(w1, w2, m: int, seed: int = 0, n_reps: int = 16) -> RminVerdict:
-    """Decide the minimal-pattern relation between two words.
-
-    P1 = +-P2 is a proof of equality; otherwise |tr| is compared at seeded
-    exact representations and any disagreement is decisive.
-    """
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    p1 = trace_poly(w1, m)
-    p2 = trace_poly(w2, m)
-    if rmin_key(p1) == rmin_key(p2):
-        return RminVerdict(RminVerdict.EQUAL)
-    rng = random.Random(seed)
-    for _ in range(n_reps):
-        rep = random_exact_rep(m, rng)
-        chars = character_values(rep, m)
-        v1 = p1.evaluate(chars)
-        v2 = p2.evaluate(chars)
-        if abs(v1) != abs(v2):
-            return RminVerdict(RminVerdict.DISTINCT, witness_rep=rep, traces=(v1, v2))
-    return RminVerdict(RminVerdict.PROBABLY_EQUAL)
-
-
 def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     """Partition classes by provable R_min equality; flag numeric-only
     coincidences (equal |tr| at every sampled rep, distinct as polynomials).
 
     A block's fingerprint is |tr| of its first word at n_reps seeded exact
     reps: tr rho(w) = P_w(characters of rho) exactly, so this is |P| there
-    for the block's key +-P.  Each rep is evaluated only on the blocks whose
-    fingerprint so far equals another block's."""
+    for the block's key +-P.  A rep is drawn only while two blocks are live,
+    and evaluated only on the blocks whose fingerprint so far equals another
+    block's."""
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     blocks = rmin_blocks(classes, m)
     partition = [tuple(v) for v in blocks.values()]
     rng = random.Random(seed)
-    reps = [random_exact_rep(m, rng) for _ in range(n_reps)]
     fingerprints = [()] * len(partition)
     live = range(len(partition))  # ascending block positions
-    for rep in reps:
+    for _ in range(n_reps):
+        if len(live) < 2:
+            break
+        rep = random_exact_rep(m, rng)
         traces = sg.compile_classes([partition[i][0] for i in live]).traces(rep)
         for i, t in zip(live, traces):
             fingerprints[i] += (abs(t),)
@@ -450,3 +413,19 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
         groups.setdefault(fingerprints[i], []).append(partition[i][0])
     flagged = [pair for group in groups.values() for pair in combinations(group, 2)]
     return partition, flagged
+
+
+def rmin_test(w1, w2, m: int, seed: int = 0, n_reps: int = 16) -> RminVerdict:
+    """Decide the minimal-pattern relation between two words: rmin_pairs on
+    their two classes.
+
+    One block (P1 = +-P2) is a proof of equality; a flagged pair agreed in
+    |tr| at every seeded rep; otherwise a rep told them apart, and the
+    verdict replays from (seed, n_reps).  A word that reduces to the
+    identity has no class: canonical_class raises EmptyWord."""
+    partition, flagged = rmin_pairs([sg.canonical_class(w1), sg.canonical_class(w2)], m, seed, n_reps)
+    if len(partition) == 1:
+        return RminVerdict(RminVerdict.EQUAL)
+    if flagged:
+        return RminVerdict(RminVerdict.PROBABLY_EQUAL)
+    return RminVerdict(RminVerdict.DISTINCT)

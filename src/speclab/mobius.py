@@ -109,18 +109,6 @@ class Mat2:
         raised again on every use."""
         return fixed_points(self)
 
-    def __pow__(self, n: int) -> "Mat2":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = identity()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
 
 def identity() -> Mat2:
     return Mat2(1, 0, 0, 1)
@@ -276,21 +264,6 @@ def act(m: Mat2, xi: BoundaryPoint) -> BoundaryPoint:
 def boundary_derivative(m: Mat2, xi: BoundaryPoint) -> float:
     """Conformal derivative |m'(xi)| on the circle (disk model)."""
     return circle_derivative(m.disk, xi.u)
-
-
-def act_real(m: Mat2, x):
-    """Action on the extended real line (half-plane boundary)."""
-    a, b, c, d = m.entries()
-    if x == INF:
-        if (float(c) == 0.0):
-            return INF
-        return float(a) / float(c)
-    a, b, c, d = (float(v) for v in (a, b, c, d))
-    x = float(x)
-    den = c * x + d
-    if den == 0.0:
-        return INF
-    return (a * x + b) / den
 
 
 def fixed_points(m: Mat2) -> tuple[BoundaryPoint, BoundaryPoint]:

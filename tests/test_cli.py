@@ -443,6 +443,10 @@ GOLDEN_STDOUT = [
         ["rmin", "--seed", "1", "ab", "ba", "aB"],
         "214d171e2d2ca68b7829aedfc2685259bd49458d1a34408f2c554ad95a57ad5b",
     ),
+    (
+        ["rmin", "--seed", "1", "--rank", "3", "abc", "bca", "acb", "CBA"],
+        "3586940dbcf26ad4c26337c2f7031bfea201ce99884f53f42cfcc3c86b1a3ee1",
+    ),
 ]
 
 
@@ -462,6 +466,7 @@ GOLDEN_STDOUT = [
         "tracepoly-squares",
         "tracepoly-rank3",
         "rmin",
+        "rmin-rank3",
     ],
 )
 def test_golden_stdout(argv, digest, capsys):
