@@ -22,30 +22,38 @@ from itertools import combinations
 from . import surface_group as sg
 from .mobius import Mat2
 
-# A monomial is one int: the exponent of t_S sits in the 32-bit field at bit
-# 32 (S - 1).  A word's polynomial has degree at most the word's length, so
-# exponents stay far below 2^32, fields never carry, and a product of
-# monomials is their sum.
+# A monomial is one int: the exponent of t_S sits in a 32-bit field of its
+# own.  Fields are numbered in the order their masks are first met, so a
+# monomial is as wide as the variables in use, not 2^m fields.  A word's
+# polynomial has degree at most the word's length, so exponents stay far
+# below 2^32, fields never carry, and a product of monomials is their sum.
 Monomial = int
 _FIELD = 32
 _FIELD_MASK = (1 << _FIELD) - 1
+_shift_of: dict[int, int] = {}  # mask -> bit offset of its field
+_field_masks: list[int] = []  # field number -> mask
 
 
 def _var(mask: int) -> Monomial:
     """The monomial t_S of the subset bitmask S."""
-    return 1 << (_FIELD * (mask - 1))
+    shift = _shift_of.get(mask)
+    if shift is None:
+        shift = _shift_of[mask] = _FIELD * len(_field_masks)
+        _field_masks.append(mask)
+    return 1 << shift
 
 
 def _factors(mono: Monomial) -> tuple[tuple[int, int], ...]:
     """((mask, exponent), ...) of a monomial, ascending by mask."""
     out = []
-    mask = 1
+    field = 0
     while mono:
         e = mono & _FIELD_MASK
         if e:
-            out.append((mask, e))
+            out.append((_field_masks[field], e))
         mono >>= _FIELD
-        mask += 1
+        field += 1
+    out.sort()
     return tuple(out)
 
 
@@ -154,18 +162,22 @@ def _class_trace_key(w: sg.Word) -> sg.Word:
     return min(w, inv, key=sg.letter_code)
 
 
-def _measure(w: sg.Word) -> tuple[int, int, int]:
+def _decreases(parent: sg.Word, w: sg.Word) -> bool:
+    """Whether (length, inverse letters, index inversions) of the cyclically
+    reduced w is below parent's, deciding each part only when the ones
+    before it tie; inversions count on the least rotation of a positive word."""
+    if len(w) != len(parent):
+        return len(w) < len(parent)
     neg = sum(1 for x in w if x < 0)
-    inv = 0
-    if w and neg == 0:
-        lin = sg.least_rotation(w)
-        inv = sum(
-            1
-            for i in range(len(lin))
-            for j in range(i + 1, len(lin))
-            if lin[i] > lin[j]
-        )
-    return (len(w), neg, inv)
+    neg_parent = sum(1 for x in parent if x < 0)
+    if neg != neg_parent:
+        return neg < neg_parent
+    return neg == 0 and _inversions(w) < _inversions(parent)
+
+
+def _inversions(w: sg.Word) -> int:
+    lin = sg.least_rotation(w)
+    return sum(1 for i in range(len(lin)) for j in range(i + 1, len(lin)) if lin[i] > lin[j])
 
 
 def _add_shifted(out: dict[Monomial, int], p: TracePoly, sign: int, mono: Monomial = 0) -> None:
@@ -208,10 +220,14 @@ class _Rewriter:
         """tr(w) for a word w that a rewrite step of parent produced.
 
         The step must strictly decrease (length, inverse letters, index
-        inversions); lengths decide unless they are equal."""
+        inversions).  Every memo key is its own canonical key, so a w that
+        is a memo key is looked up without canonicalizing it."""
         w = sg.cyclic_reduce(w)
-        if len(w) > len(parent) or (len(w) == len(parent) and _measure(w) >= _measure(parent)):
+        if not _decreases(parent, w):
             raise RuntimeError(f"rewriting {parent} produced {w}, which does not decrease the measure")
+        hit = self.memo.get(w)
+        if hit is not None:
+            return hit
         return self.keyed(_canonical_trace_key(w))
 
     def _rewrite(self, w: sg.Word) -> TracePoly:
@@ -224,13 +240,15 @@ class _Rewriter:
             return TracePoly.var(1 << (abs(w[0]) - 1))
         out: dict[Monomial, int] = {}
 
-        # 1. eliminate inverse letters: tr(U s^-1) = tr(U) tr(s) - tr(U s)
+        # 1. eliminate inverse letters: tr(U s^-1) = tr(U) tr(s) - tr(U s),
+        # U read cyclically from position 0 of w, so a child starts where
+        # the key does and is usually a memo key itself
         for k in range(n):
             if w[k] < 0:
                 i = -w[k]
-                U = w[k + 1 :] + w[:k]
-                _add_shifted(out, self._child(w, U), 1, _var(1 << (i - 1)))
-                _add_shifted(out, self._child(w, U + (i,)), -1)
+                head, tail = w[:k], w[k + 1 :]
+                _add_shifted(out, self._child(w, head + tail), 1, _var(1 << (i - 1)))
+                _add_shifted(out, self._child(w, head + (i,) + tail), -1)
                 return TracePoly(out)
 
         # 2. eliminate cyclically adjacent squares: tr(s s V) = tr(s) tr(s V) - tr(V)

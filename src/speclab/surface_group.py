@@ -98,16 +98,19 @@ def least_rotation(w: Word) -> Word:
     """Least rotation of w in letter order.  A least rotation starts at a
     least letter, so only those rotations are compared, and none when the
     least letter occurs once."""
-    n = len(w)
-    if n < 2:
+    if len(w) < 2:
         return w
     code = letter_code(w)
     lo = min(code)
-    if code.count(lo) == 1:
-        k = code.index(lo)
-        return w[k:] + w[:k]
-    twice = code + code
-    best = min((k for k in range(n) if code[k] == lo), key=lambda k: twice[k : k + n])
+    best = k = code.index(lo)
+    repeats = code.count(lo) - 1
+    if repeats:
+        least = code[k:] + code[:k]
+        for _ in range(repeats):
+            k = code.index(lo, k + 1)
+            rot = code[k:] + code[:k]
+            if rot < least:
+                best, least = k, rot
     return w[best:] + w[:best]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
-from itertools import combinations
+import time
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +11,7 @@ from speclab.characters import (
     TracePoly,
     _canonical_trace_key,
     _class_trace_key,
+    _decreases,
     _Rewriter,
     _factors,
     basis_word,
@@ -290,6 +292,24 @@ def test_monomial_product_adds_exponent_fields():
             assert _total_degree(p) == sum(exps.values())
 
 
+def test_top_generator_monomial_is_one_field_wide():
+    # fields are numbered by first use, so t_S is not 32 (S - 1) bits wide
+    start = time.perf_counter()
+    assert trace_poly((20,), 20).text() == "+1*t{20}"
+    assert time.perf_counter() - start < 0.5
+
+
+def test_rank5_text_is_unchanged_by_field_order():
+    # expected texts as printed when t_S sat at bit 32 (S - 1)
+    assert trace_poly((5, 1, -5, -1), 5).text() == (
+        "-1*t{1}*t{5}*t{1,5} +1*t{1,5}^2 +1*t{5}^2 +1*t{1}^2 -2"
+    )
+    assert trace_poly((5, 5, 1, -5, 1, 1), 5).text() == (
+        "+1*t{1}^2*t{5}^2*t{1,5} -1*t{1}^3*t{5} -1*t{1}*t{5}^3 -1*t{1}*t{5}*t{1,5}^2"
+        " +1*t{1}^2*t{1,5} +3*t{1}*t{5} -1*t{1,5}"
+    )
+
+
 @pytest.mark.parametrize("n_reps", [0, -1])
 def test_rmin_pairs_rejects_fewer_than_one_rep(n_reps):
     with pytest.raises(ValueError, match="n_reps must be >= 1"):
@@ -366,6 +386,37 @@ def test_rmin_blocks_match_per_class_trace_poly(monkeypatch, m, maxlen):
         # the same memo keys, so rank >= 3 keeps its representatives
         # modulo the t123 relation
         assert characters._rewriters[m].memo == oracle_memo, name
+        # a rewrite child that is a memo key is looked up without canonicalizing
+        assert all(_canonical_trace_key(k) == k for k in oracle_memo), name
+
+
+@pytest.mark.parametrize("m,maxlen", [(2, 8), (3, 6)])
+def test_memo_is_the_same_when_children_miss_it(monkeypatch, m, maxlen):
+    # longest classes first: most rewrite children are not yet memo keys
+    classes = sg.enumerate_classes(sg.Presentation(1, m - 1), maxlen)
+    memos = []
+    for order in (classes, classes[::-1]):
+        monkeypatch.setattr(characters, "_rewriters", {})
+        rmin_blocks(order, m)
+        memos.append(characters._rewriters[m].memo)
+    assert memos[0] == memos[1]
+
+
+def test_cold_partition_searches_few_rotations(monkeypatch):
+    classes = sg.enumerate_classes(F2, 8)
+    calls = []
+    real = sg.least_rotation
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(characters, "_rewriters", {})
+    monkeypatch.setattr(sg, "least_rotation", counted)
+    rmin_blocks(classes, 2)
+    # 1035 when step-1 children start at position 0 of their key and the
+    # memo is probed first; 2301 when every child was canonicalized
+    assert len(calls) <= 1200
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -391,11 +442,34 @@ def test_trace_poly_rejects_letters_beyond_rank():
 
 @pytest.mark.parametrize(
     "parent,child",
-    [((1, 2), (1, 1, 2)), ((1, 2), (2, 1)), ((1, -2), (1, 2, -1, -2))],
+    [((1, 2), (1, 1, 2)), ((1, 2), (2, 1)), ((1, -2), (1, 2, -1, -2)), ((1, -2), (-1, 2))],
 )
 def test_rewrite_guard_rejects_non_decreasing_child(parent, child):
     with pytest.raises(RuntimeError, match="does not decrease"):
         _Rewriter(2)._child(parent, child)
+
+
+def _measure(w):
+    """Oracle: the rewriting measure (length, inverse letters, index
+    inversions of the least rotation of a positive word) as one tuple."""
+    neg = sum(1 for x in w if x < 0)
+    inv = 0
+    if w and neg == 0:
+        lin = sg.least_rotation(w)
+        inv = sum(1 for i in range(len(lin)) for j in range(i + 1, len(lin)) if lin[i] > lin[j])
+    return (len(w), neg, inv)
+
+
+def test_rewrite_guard_matches_measure_tuples():
+    words = [
+        w
+        for n in range(5)
+        for w in product((1, -1, 2, -2), repeat=n)
+        if sg.cyclic_reduce(w) == w
+    ]
+    assert len(words) == 1 + 4 + 12 + 28 + 84
+    for parent, child in product(words, repeat=2):
+        assert _decreases(parent, child) == (_measure(child) < _measure(parent)), (parent, child)
 
 
 # -- rmin_test is rmin_pairs on two classes ------------------------------------
