@@ -378,6 +378,35 @@ def rmin_key(p: TracePoly) -> tuple:
     return tuple(terms)
 
 
+def _memo_keys(classes, rw: _Rewriter) -> tuple[list, dict]:
+    """(memo key, class) of each class, and the first class of each memo key
+    in first-seen order; the classes are keyed as rmin_blocks takes them,
+    and a key new to the memo has its letters checked."""
+    keyed = []
+    first: dict[sg.Word, object] = {}
+    for cls in classes:
+        key = _class_trace_key(cls.word)
+        if key not in first:
+            if key not in rw.memo:
+                # memo keys have checked letters, and so have their
+                # children; only a new key needs checking
+                rw.check(key)
+            first[key] = cls
+        keyed.append((key, cls))
+    return keyed, first
+
+
+def _assemble(keyed, labels) -> dict:
+    """Classes grouped by the label of their memo key, blocks in first-seen
+    order; labels yields (memo key, label) in first-seen order, so a label
+    equal to one seen before is dropped as it comes."""
+    blocks: dict = {}
+    block_of = {key: blocks.setdefault(label, []) for key, label in labels}
+    for key, cls in keyed:
+        block_of[key].append(cls)
+    return blocks
+
+
 def rmin_blocks(classes, m: int) -> dict[tuple, list]:
     """Classes grouped by R_min key, blocks in first-seen order.
 
@@ -385,51 +414,84 @@ def rmin_blocks(classes, m: int) -> dict[tuple, list]:
     enumerate_classes and canonical_class make it.  A class and its inverse
     share a memo key, so their polynomial and R_min key are found once."""
     rw = _rewriter(m)
-    by_memo_key: dict[sg.Word, list] = {}
-    blocks: dict[tuple, list] = {}
-    for cls in classes:
-        key = _class_trace_key(cls.word)
-        block = by_memo_key.get(key)
-        if block is None:
-            if key not in rw.memo:
-                # memo keys have checked letters, and so have their
-                # children; only a new key needs checking
-                rw.check(key)
-            block = by_memo_key[key] = blocks.setdefault(rmin_key(rw.keyed(key)), [])
-        block.append(cls)
-    return blocks
+    keyed, first = _memo_keys(classes, rw)
+    return _assemble(keyed, ((key, rmin_key(rw.keyed(key))) for key in first))
+
+
+def _colliding(live, group) -> list:
+    """The positions in live whose group another position in live shares."""
+    seen = Counter(group[i] for i in live)
+    return [i for i in live if seen[group[i]] > 1]
+
+
+def _split(live, group, traces) -> int:
+    """Split the groups of the positions in live by |tr| at one rep, in
+    place; traces are in live's order.  The number of groups after."""
+    ids: dict[tuple, int] = {}
+    for i, t in zip(live, traces):
+        group[i] = ids.setdefault((group[i], abs(t)), len(ids))
+    return len(ids)
 
 
 def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     """Partition classes by provable R_min equality; flag numeric-only
     coincidences (equal |tr| at every sampled rep, distinct as polynomials).
 
-    A block's fingerprint is |tr| of its first word at n_reps seeded exact
-    reps: tr rho(w) = P_w(characters of rho) exactly, so this is |P| there
-    for the block's key +-P.  A rep is drawn only while two blocks are live,
-    and evaluated only on the blocks whose fingerprint so far equals another
-    block's."""
+    tr rho(w) = P_w(characters of rho) exactly at an integer rep, so |tr| of
+    a word there is |P| of its key +-P, and one rep where |tr| differs
+    proves two memo keys lie in different blocks.  Reps are drawn from one
+    seeded stream, n_reps at most, in two phases:
+
+    1. Memo keys are grouped by |tr| of their first class until a rep
+       splits no group.  A key alone in its group is its own block, with
+       no rewrite; only the keys that share a group are rewritten to their
+       R_min keys.
+    2. Blocks that still agree at every rep so far draw the further reps,
+       while two blocks agree, each evaluated on those blocks only.
+
+    Flagged are the pairs of distinct blocks that agree at every rep, so
+    neither the partition nor the flags depend on when a rep is drawn."""
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    blocks = rmin_blocks(classes, m)
-    partition = [tuple(v) for v in blocks.values()]
+    rw = _rewriter(m)
+    keyed, first = _memo_keys(classes, rw)
+    keys = list(first)
     rng = random.Random(seed)
-    fingerprints = [()] * len(partition)
-    live = range(len(partition))  # ascending block positions
-    for _ in range(n_reps):
-        if len(live) < 2:
+    drawn = 0
+    # 1. group memo keys by |tr| until a rep splits no group
+    key_group = [0] * len(keys)
+    live = _colliding(range(len(keys)), key_group)
+    n_groups = 1
+    program = sg.compile_classes(first.values())
+    while live and drawn < n_reps:
+        traces = program.traces(random_exact_rep(m, rng))
+        drawn += 1
+        if _split(live, key_group, [traces[i] for i in live]) == n_groups:
             break
-        rep = random_exact_rep(m, rng)
-        traces = sg.compile_classes([partition[i][0] for i in live]).traces(rep)
-        for i, t in zip(live, traces):
-            fingerprints[i] += (abs(t),)
-        seen = Counter(fingerprints[i] for i in live)
-        live = [i for i in live if seen[fingerprints[i]] > 1]
-    # live is in block order, so groups come in the order of their first block
-    groups: dict[tuple, list] = {}
+        live = _colliding(live, key_group)
+        n_groups = len({key_group[i] for i in live})
+    # an int label is one key's own block; it never equals an R_min key
+    label_of: dict = {key: i for i, key in enumerate(keys)}
+    start = {}  # R_min key -> phase-1 group of its keys
     for i in live:
-        groups.setdefault(fingerprints[i], []).append(partition[i][0])
-    flagged = [pair for group in groups.values() for pair in combinations(group, 2)]
+        label = label_of[keys[i]] = rmin_key(rw.keyed(keys[i]))
+        start[label] = key_group[i]
+    blocks = _assemble(keyed, label_of.items())
+    partition = [tuple(v) for v in blocks.values()]
+    # 2. the same stream, while two blocks agree at every rep so far
+    words = [block[0] for block in partition]
+    group = [start.get(label) for label in blocks]
+    live = _colliding([i for i, label in enumerate(blocks) if label in start], group)
+    while len(live) > 1 and drawn < n_reps:
+        rep = random_exact_rep(m, rng)
+        drawn += 1
+        _split(live, group, sg.compile_classes([words[i] for i in live]).traces(rep))
+        live = _colliding(live, group)
+    # live is in block order, so groups come in the order of their first block
+    groups: dict[int, list] = {}
+    for i in live:
+        groups.setdefault(group[i], []).append(words[i])
+    flagged = [pair for g in groups.values() for pair in combinations(g, 2)]
     return partition, flagged
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -518,7 +519,7 @@ def test_rmin_test_evaluates_no_characters(monkeypatch):
     assert rmin_test((1, 2), (1, -2), 24).kind == RminVerdict.DISTINCT
 
 
-def test_reps_are_drawn_while_two_blocks_are_live(monkeypatch):
+def test_reps_are_drawn_until_a_rep_splits_no_key_group_then_while_blocks_agree(monkeypatch):
     draws = []
     real = characters.random_exact_rep
 
@@ -527,17 +528,76 @@ def test_reps_are_drawn_while_two_blocks_are_live(monkeypatch):
         return real(m, rng)
 
     monkeypatch.setattr(characters, "random_exact_rep", counted)
+    # one memo key, or none: nothing to tell apart
     assert rmin_test((1, 2), (2, 1), 2, seed=0).kind == RminVerdict.EQUAL
+    assert rmin_pairs([], 2) == ([], [])
     assert len(draws) == 0
+    # two memo keys, told apart by the first rep
     assert rmin_test((1, 2), (1, -2), 2, seed=0).kind == RminVerdict.DISTINCT
     assert len(draws) == 1
     del draws[:]
+    # two memo keys in one block: the first rep splits nothing, and the
+    # rewrite finds one block
+    assert rmin_test((1, 1, 2, 1, -2), (1, 1, -2, 1, 2), 2, seed=0).kind == RminVerdict.EQUAL
+    assert len(draws) == 1
+    del draws[:]
+    # the third rep splits no group of keys, and no two blocks agree then
     partition, flagged = rmin_pairs(sg.enumerate_classes(F2, 5), 2, seed=1)
     assert len(partition) == 47 and not flagged
-    assert len(draws) == 2
+    assert len(draws) == 3
     del draws[:]
+    # one rep leaves the two keys together, and their two blocks draw the rest
     assert rmin_test(*_f5_words(F5_PAIRS[0]), 3).kind == RminVerdict.PROBABLY_EQUAL
     assert len(draws) == 16
+
+
+# -- fingerprints before rewrites, against the rewrite-first order -------------
+
+def _rewrite_first_pairs(classes, m, seed, n_reps):
+    """Oracle: every memo key rewritten to its R_min key (rmin_blocks), then
+    each block's |tr| at seeded reps, drawn while two blocks agree."""
+    partition = [tuple(v) for v in rmin_blocks(classes, m).values()]
+    rng = random.Random(seed)
+    fingerprints = [()] * len(partition)
+    live = range(len(partition))
+    for _ in range(n_reps):
+        if len(live) < 2:
+            break
+        rep = random_exact_rep(m, rng)
+        traces = sg.compile_classes([partition[i][0] for i in live]).traces(rep)
+        for i, t in zip(live, traces):
+            fingerprints[i] += (abs(t),)
+        seen = Counter(fingerprints[i] for i in live)
+        live = [i for i in live if seen[fingerprints[i]] > 1]
+    groups = {}
+    for i in live:
+        groups.setdefault(fingerprints[i], []).append(partition[i][0])
+    return partition, [pair for g in groups.values() for pair in combinations(g, 2)]
+
+
+@pytest.mark.parametrize("m,maxlen", [(2, 7), (3, 5), (3, 6), (4, 4)])
+def test_rmin_pairs_matches_rewrite_first_oracle(monkeypatch, m, maxlen):
+    lists = _class_lists(m, maxlen)
+    lists["empty"] = []
+    lists["single"] = lists["sorted"][:1]
+    if m == 3:
+        lists["f5"] = [sg.canonical_class(w) for pair in F5_PAIRS for w in _f5_words(pair)]
+    for name, classes in lists.items():
+        monkeypatch.setattr(characters, "_rewriters", {})
+        for seed, n_reps in product((1, 7), (1, 2, 16)):
+            got = rmin_pairs(classes, m, seed=seed, n_reps=n_reps)
+            assert got == _rewrite_first_pairs(classes, m, seed, n_reps), (name, seed, n_reps)
+            if name == "f5" and n_reps == 16:
+                assert len(got[0]) == 6 and len(got[1]) == 3
+
+
+# seed 1 rewrites 199 keys at (3,6) and 1621 at (2,9); rewriting every key
+# first made 1754 and 1792
+@pytest.mark.parametrize("m,maxlen,most", [(3, 6, 400), (2, 9, 1792)])
+def test_rmin_pairs_rewrites_only_keys_no_rep_told_apart(monkeypatch, m, maxlen, most):
+    monkeypatch.setattr(characters, "_rewriters", {})
+    rmin_pairs(sg.enumerate_classes(sg.Presentation(1, m - 1), maxlen), m, seed=1)
+    assert len(characters._rewriters[m].memo) <= most
 
 
 @pytest.mark.xfail(
