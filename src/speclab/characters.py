@@ -378,46 +378,6 @@ def rmin_key(p: TracePoly) -> tuple:
     return tuple(terms)
 
 
-def _memo_keys(classes, rw: _Rewriter) -> tuple[list, dict]:
-    """(memo key, class) of each class, and the first class of each memo key
-    in first-seen order; the classes are keyed as rmin_blocks takes them,
-    and a key new to the memo has its letters checked."""
-    keyed = []
-    first: dict[sg.Word, object] = {}
-    for cls in classes:
-        key = _class_trace_key(cls.word)
-        if key not in first:
-            if key not in rw.memo:
-                # memo keys have checked letters, and so have their
-                # children; only a new key needs checking
-                rw.check(key)
-            first[key] = cls
-        keyed.append((key, cls))
-    return keyed, first
-
-
-def _assemble(keyed, labels) -> dict:
-    """Classes grouped by the label of their memo key, blocks in first-seen
-    order; labels yields (memo key, label) in first-seen order, so a label
-    equal to one seen before is dropped as it comes."""
-    blocks: dict = {}
-    block_of = {key: blocks.setdefault(label, []) for key, label in labels}
-    for key, cls in keyed:
-        block_of[key].append(cls)
-    return blocks
-
-
-def rmin_blocks(classes, m: int) -> dict[tuple, list]:
-    """Classes grouped by R_min key, blocks in first-seen order.
-
-    Each class key's word must be a cyclically reduced least rotation, as
-    enumerate_classes and canonical_class make it.  A class and its inverse
-    share a memo key, so their polynomial and R_min key are found once."""
-    rw = _rewriter(m)
-    keyed, first = _memo_keys(classes, rw)
-    return _assemble(keyed, ((key, rmin_key(rw.keyed(key))) for key in first))
-
-
 def _colliding(live, group) -> list:
     """The positions in live whose group another position in live shares."""
     seen = Counter(group[i] for i in live)
@@ -450,11 +410,28 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
        while two blocks agree, each evaluated on those blocks only.
 
     Flagged are the pairs of distinct blocks that agree at every rep, so
-    neither the partition nor the flags depend on when a rep is drawn."""
+    neither the partition nor the flags depend on when a rep is drawn.
+    Blocks come in first-seen order.
+
+    Each class key's word must be a cyclically reduced least rotation, as
+    enumerate_classes and canonical_class make it, since it is taken as
+    its own memo key; a class such as ConjClassKey((2, 1)) ends in a
+    RuntimeError from the rewriter once it is rewritten.  A class and its
+    inverse share a memo key, so their polynomial is found once."""
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     rw = _rewriter(m)
-    keyed, first = _memo_keys(classes, rw)
+    keyed = []  # (memo key, class) of each class
+    first: dict[sg.Word, object] = {}  # memo key -> its first class
+    for cls in classes:
+        key = _class_trace_key(cls.word)
+        if key not in first:
+            if key not in rw.memo:
+                # memo keys have checked letters, and so have their
+                # children; only a new key needs checking
+                rw.check(key)
+            first[key] = cls
+        keyed.append((key, cls))
     keys = list(first)
     rng = random.Random(seed)
     drawn = 0
@@ -470,13 +447,19 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
             break
         live = _colliding(live, key_group)
         n_groups = len({key_group[i] for i in live})
-    # an int label is one key's own block; it never equals an R_min key
-    label_of: dict = {key: i for i, key in enumerate(keys)}
-    start = {}  # R_min key -> phase-1 group of its keys
+    del program  # the rewrites below grow the memo; free the tree first
+    # a key's label is the position of the first key of its block, so an
+    # R_min key is held once per block, not once per key
+    label_of = list(range(len(keys)))
+    first_of: dict[tuple, int] = {}  # R_min key -> label
     for i in live:
-        label = label_of[keys[i]] = rmin_key(rw.keyed(keys[i]))
-        start[label] = key_group[i]
-    blocks = _assemble(keyed, label_of.items())
+        label_of[i] = first_of.setdefault(rmin_key(rw.keyed(keys[i])), i)
+    start = {label_of[i]: key_group[i] for i in live}  # label -> phase-1 group of its keys
+    # classes grouped by label; a label met before joins its block
+    blocks: dict = {}
+    block_of = {key: blocks.setdefault(label, []) for key, label in zip(keys, label_of)}
+    for key, cls in keyed:
+        block_of[key].append(cls)
     partition = [tuple(v) for v in blocks.values()]
     # 2. the same stream, while two blocks agree at every rep so far
     words = [block[0] for block in partition]

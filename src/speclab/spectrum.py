@@ -160,11 +160,16 @@ def subrelation(p1: Pattern, p2: Pattern):
 
 
 def rmin_pattern(classes, m: int) -> Pattern:
-    """Partition by provable character-polynomial equality up to sign."""
+    """Partition by provable character-polynomial equality up to sign: the
+    blocks of `characters.rmin_pairs`, without its flags.  A class given
+    twice raises ValueError."""
     classes = tuple(classes)
-    position = {key: i for i, key in enumerate(classes)}
-    blocks = characters.rmin_blocks(classes, m).values()
-    return Pattern.from_blocks(classes, (map(position.__getitem__, v) for v in blocks))
+    position = {}
+    for i, key in enumerate(classes):
+        if position.setdefault(key, i) != i:
+            raise ValueError(f"class {key} is repeated")
+    partition, _ = characters.rmin_pairs(classes, m)
+    return Pattern.from_blocks(classes, (map(position.__getitem__, block) for block in partition))
 
 
 def scan_generic(

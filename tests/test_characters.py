@@ -18,7 +18,6 @@ from speclab.characters import (
     basis_word,
     character_values,
     random_exact_rep,
-    rmin_blocks,
     rmin_key,
     rmin_pairs,
     rmin_test,
@@ -374,19 +373,26 @@ def _class_lists(m, maxlen):
     return {"sorted": classes, "shuffled": shuffled, "one_of_each": one_of_each}
 
 
+def _rewrite_every_key(classes, m):
+    """Rewrite the memo key of every class, as no fingerprint spares any."""
+    rw = characters._rewriter(m)
+    for k in classes:
+        rw.keyed(_class_trace_key(k.word))
+
+
 @pytest.mark.parametrize("m,maxlen", [(2, 8), (3, 5), (4, 4)])
-def test_rmin_blocks_match_per_class_trace_poly(monkeypatch, m, maxlen):
+def test_rmin_pattern_matches_per_class_trace_poly(monkeypatch, m, maxlen):
     for name, classes in _class_lists(m, maxlen).items():
         # each side starts from a cold memo of its own
         monkeypatch.setattr(characters, "_rewriters", {})
         expected = _per_class_blocks(classes, m)
         oracle_memo = characters._rewriters[m].memo
         monkeypatch.setattr(characters, "_rewriters", {})
-        got = rmin_blocks(classes, m)
-        assert list(got.items()) == list(expected.items()), name
-        # the same memo keys, so rank >= 3 keeps its representatives
-        # modulo the t123 relation
-        assert characters._rewriters[m].memo == oracle_memo, name
+        assert rmin_pattern(classes, m).blocks == tuple(map(tuple, expected.values())), name
+        # only keys that no rep told apart are rewritten, to the same
+        # polynomials, so rank >= 3 keeps its representatives modulo the
+        # t123 relation
+        assert characters._rewriters[m].memo.items() <= oracle_memo.items(), name
         # a rewrite child that is a memo key is looked up without canonicalizing
         assert all(_canonical_trace_key(k) == k for k in oracle_memo), name
 
@@ -398,7 +404,7 @@ def test_memo_is_the_same_when_children_miss_it(monkeypatch, m, maxlen):
     memos = []
     for order in (classes, classes[::-1]):
         monkeypatch.setattr(characters, "_rewriters", {})
-        rmin_blocks(order, m)
+        _rewrite_every_key(order, m)
         memos.append(characters._rewriters[m].memo)
     assert memos[0] == memos[1]
 
@@ -414,7 +420,7 @@ def test_cold_partition_searches_few_rotations(monkeypatch):
 
     monkeypatch.setattr(characters, "_rewriters", {})
     monkeypatch.setattr(sg, "least_rotation", counted)
-    rmin_blocks(classes, 2)
+    _rewrite_every_key(classes, 2)
     # 1035 when step-1 children start at position 0 of their key and the
     # memo is probed first; 2301 when every child was canonicalized
     assert len(calls) <= 1200
@@ -425,10 +431,10 @@ def test_cold_partition_searches_few_rotations(monkeypatch):
 def test_rmin_rejects_letters_beyond_rank(monkeypatch, warm, word):
     monkeypatch.setattr(characters, "_rewriters", {})
     if warm:
-        rmin_blocks(sg.enumerate_classes(F2, 4), 2)
+        _rewrite_every_key(sg.enumerate_classes(F2, 4), 2)
     bad = [sg.ConjClassKey((1,)), sg.ConjClassKey(word)]
     with pytest.raises(ValueError, match="beyond rank 2"):
-        rmin_blocks(bad, 2)
+        rmin_pattern(bad, 2)
     with pytest.raises(ValueError, match="beyond rank 2"):
         rmin_pairs(bad, 2)
     assert all(all(0 < abs(x) <= 2 for x in key) for key in characters._rewriters[2].memo)
@@ -554,9 +560,9 @@ def test_reps_are_drawn_until_a_rep_splits_no_key_group_then_while_blocks_agree(
 # -- fingerprints before rewrites, against the rewrite-first order -------------
 
 def _rewrite_first_pairs(classes, m, seed, n_reps):
-    """Oracle: every memo key rewritten to its R_min key (rmin_blocks), then
-    each block's |tr| at seeded reps, drawn while two blocks agree."""
-    partition = [tuple(v) for v in rmin_blocks(classes, m).values()]
+    """Oracle: every class rewritten to its R_min key (_per_class_blocks),
+    then each block's |tr| at seeded reps, drawn while two blocks agree."""
+    partition = [tuple(v) for v in _per_class_blocks(classes, m).values()]
     rng = random.Random(seed)
     fingerprints = [()] * len(partition)
     live = range(len(partition))
@@ -598,6 +604,38 @@ def test_rmin_pairs_rewrites_only_keys_no_rep_told_apart(monkeypatch, m, maxlen,
     monkeypatch.setattr(characters, "_rewriters", {})
     rmin_pairs(sg.enumerate_classes(sg.Presentation(1, m - 1), maxlen), m, seed=1)
     assert len(characters._rewriters[m].memo) <= most
+
+
+@pytest.mark.parametrize("m,maxlen", [(2, 7), (3, 6)])
+def test_rmin_pattern_is_the_rmin_pairs_partition(m, maxlen):
+    lists = _class_lists(m, maxlen)
+    if m == 3:
+        lists["f5"] = [sg.canonical_class(w) for pair in F5_PAIRS for w in _f5_words(pair)]
+    for name, classes in lists.items():
+        blocks = rmin_pattern(classes, m).blocks
+        for seed, n_reps in product((0, 1, 7), (1, 2, 16)):
+            assert blocks == tuple(rmin_pairs(classes, m, seed, n_reps)[0]), (name, seed, n_reps)
+
+
+def test_cold_rmin_pattern_rewrites_only_keys_no_rep_told_apart(monkeypatch):
+    # 1754 memo entries when rmin_pattern rewrote every key
+    monkeypatch.setattr(characters, "_rewriters", {})
+    rmin_pattern(sg.enumerate_classes(sg.Presentation.free(3), 6), 3)
+    assert len(characters._rewriters[3].memo) <= 400
+
+
+def test_rmin_pattern_rejects_a_repeated_class():
+    a, b = sg.enumerate_classes(F2, 1)[:2]
+    with pytest.raises(ValueError, match=f"class {a} is repeated"):
+        rmin_pattern([a, b, a], 2)
+
+
+def test_rmin_pairs_needs_least_rotation_keys():
+    # (2, 1) is not its own least rotation, so it is no memo key: its
+    # rewrite steps to (1, 2), which does not decrease the measure
+    keys = [sg.ConjClassKey((1, 2)), sg.ConjClassKey((2, 1))]
+    with pytest.raises(RuntimeError, match="does not decrease"):
+        rmin_pairs(keys, 2)
 
 
 @pytest.mark.xfail(

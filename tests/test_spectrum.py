@@ -325,22 +325,26 @@ def test_scan_generic_arithmetic_point_needs_rank_two(monkeypatch):
 def test_scan_generic_compiles_its_classes_once(monkeypatch):
     module = sys.modules["speclab.spectrum"]
     real_compile, real_spectrum = sg.compile_classes, module.spectrum
-    compiled, spectra = [], []
+    classes = tuple(sg.enumerate_classes(F2, 4))
+    programs, given = [], []
 
-    def counted_compile(classes):
-        compiled.append(classes)
-        return real_compile(classes)
+    def counted_compile(words):
+        program = real_compile(words)
+        # rmin_pairs compiles its fingerprint words apart; only the class tuple counts
+        if words == classes:
+            programs.append(program)
+        return program
 
-    def counted_spectrum(*args, **kwargs):
-        spectra.append(args)
-        return real_spectrum(*args, **kwargs)
+    def counted_spectrum(rep, maxlen, classes=None):
+        given.append(classes)
+        return real_spectrum(rep, maxlen, classes=classes)
 
     monkeypatch.setattr(sg, "compile_classes", counted_compile)
     monkeypatch.setattr(module, "spectrum", counted_spectrum)
     recs = list(scan_generic(1, 5, maxlen=4, include_arithmetic_point=True))
     # each trial runs the one program; the arithmetic point is trial 0
-    assert len(compiled) == 1 and len(spectra) == len(recs) == 5 + 1
-    assert compiled[0] == tuple(sg.enumerate_classes(F2, 4))
+    assert len(programs) == 1 and len(given) == len(recs) == 5 + 1
+    assert all(program is programs[0] for program in given)
 
 
 def test_subrelation_reflexive():
