@@ -426,13 +426,10 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     for cls in classes:
         key = _class_trace_key(cls.word)
         if key not in first:
-            if key not in rw.memo:
-                # memo keys have checked letters, and so have their
-                # children; only a new key needs checking
-                rw.check(key)
             first[key] = cls
         keyed.append((key, cls))
     keys = list(first)
+    rw.check(set().union(*keys))  # before any key reaches a rep or the memo
     rng = random.Random(seed)
     drawn = 0
     # 1. group memo keys by |tr| until a rep splits no group

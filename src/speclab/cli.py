@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -32,6 +34,10 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VERIFICATION_FAILED = 2
 
+# parts joined per write by _out: some 50 KB of rows, below malloc's 128 KiB
+# mmap threshold, so a chunk reuses heap pages rather than mapping new ones
+_CHUNK = 512
+
 
 def _indented_list(items: list[str], indent: str) -> str:
     """JSON text of a list of already encoded items, laid out as json.dumps
@@ -42,11 +48,17 @@ def _indented_list(items: list[str], indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
-def _out(args, text: str) -> None:
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _out(args, text) -> None:
+    """Write text, a str or an iterable of str parts, to --output or stdout.
+
+    Parts are written as they come, _CHUNK of them joined per write, so a
+    command that yields its lines never holds its whole text."""
+    if isinstance(text, str):
+        text = (text,)
+    parts = iter(text)
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as f:
+        while chunk := list(islice(parts, _CHUNK)):
+            f.write("".join(chunk))
 
 
 def _load_rep(args) -> fricke.SurfaceRep:
@@ -69,16 +81,16 @@ def cmd_sample(args) -> int:
 def cmd_spectrum(args) -> int:
     rep = _load_rep(args)
     s = length_spectrum(rep, args.maxlen)
+    rows = zip(s.classes, s.traces, s.lengths)
     if args.format == "csv":
-        _out(args, rows_to_csv(s.as_rows()))
+        _out(args, rows_to_csv(rows))
     else:
-        # the text of json.dumps({"class", "length", "trace"}, sort_keys=True)
+        # each line is the text of json.dumps({"class", "length", "trace"}, sort_keys=True)
         fmt = sg.word_formatter(rep.presentation)
-        lines = [
-            f'{{"class": {_json_str(fmt(key.word))}, "length": "{float_text(l)}", "trace": "{float_text(t)}"}}'
-            for key, t, l in zip(s.classes, s.traces, s.lengths)
-        ]
-        _out(args, "\n".join(lines) + "\n")
+        _out(args, (
+            f'{{"class": {_json_str(fmt(key.word))}, "length": "{float_text(l)}", "trace": "{float_text(t)}"}}\n'
+            for key, t, l in rows
+        ))
     return EXIT_OK
 
 

@@ -233,8 +233,9 @@ def modular_torus_rep() -> SurfaceRep:
     return SurfaceRep.free_rep([Mat2(1, 1, 1, 2), Mat2(1, -1, -1, 2)])
 
 
-def rows_to_csv(rows) -> str:
-    lines = ["class,trace,length"]
+def rows_to_csv(rows):
+    """The csv text of (class, trace, length) rows, yielded a line at a
+    time: the header, then one line per row."""
+    yield "class,trace,length\n"
     for key, t, l in rows:
-        lines.append(f"{str(key).replace(' ', '.')},{float_text(t)},{float_text(l)}")
-    return "\n".join(lines) + "\n"
+        yield f"{str(key).replace(' ', '.')},{float_text(t)},{float_text(l)}\n"

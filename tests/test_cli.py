@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import speclab.boundary as boundary
+import speclab.cli as cli
 import speclab.surface_group as sg
 from speclab.cli import _indented_list, _json_str, main
 from speclab.fricke import rep_from_json, rep_to_json, schottky_sample
@@ -472,6 +474,60 @@ GOLDEN_STDOUT = [
 def test_golden_stdout(argv, digest, capsys):
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default-chunk", "chunk-7"])
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_STDOUT[:3], ids=["spectrum-jsonl", "spectrum-csv", "pattern"]
+)
+def test_output_file_holds_the_golden_stdout(argv, digest, chunk, tmp_path, monkeypatch, capsys):
+    # --output writes the bytes stdout gets; a 7-part chunk splits the rows
+    # over many writes, as a large spectrum's are
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    path = tmp_path / "out"
+    assert main(argv + ["--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_spectrum_output_peak_is_the_spectrums(fmt, tmp_path):
+    # rows are written as they are formatted, so the peak is the spectrum's
+    # and one chunk of text (3.7 MB jsonl, 3.2 MB csv at rank 3, L=7), not
+    # also a list of lines, their joined text and its encoded copy (8.2 MB
+    # and 7.2 MB when the text was built)
+    argv = ["spectrum", "--seed", "1", "--rank", "3", "--maxlen", "7", "--format", fmt]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--output", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak
+
+
+def test_closed_pipe_is_an_input_error():
+    # The reader takes 100 bytes and hangs up, so a later write fails with
+    # EPIPE.  PYTHONUNBUFFERED is removed: unbuffered, a write that the pipe
+    # cuts short returns its short count, which the text layer drops without
+    # an error, so whether the command exits 0 then depends on which write
+    # is cut -- an artifact of that mode, not behaviour to keep.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = ["spectrum", "--seed", "1", "--rank", "3", "--maxlen", "7"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "speclab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b"error: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize(

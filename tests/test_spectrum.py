@@ -441,7 +441,7 @@ def test_scan_command_exits_1_when_a_trial_fails(monkeypatch, capsys):
 
 def test_rows_to_csv_layout():
     s = _toy_spectrum([((1,), 1.0)])
-    text = rows_to_csv(s.as_rows())
-    lines = text.strip().splitlines()
-    assert lines[0] == "class,trace,length"
+    lines = list(rows_to_csv(s.as_rows()))  # yielded a line at a time
+    assert len(lines) == 2 and all(line.endswith("\n") for line in lines)
+    assert lines[0] == "class,trace,length\n"
     assert lines[1].startswith("a,")
