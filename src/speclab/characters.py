@@ -384,13 +384,14 @@ def _colliding(live, group) -> list:
     return [i for i in live if seen[group[i]] > 1]
 
 
-def _split(live, group, traces) -> int:
+def _split(live, group, traces) -> tuple[list, bool]:
     """Split the groups of the positions in live by |tr| at one rep, in
-    place; traces are in live's order.  The number of groups after."""
+    place; traces are in live's order.  The positions that still share a
+    group, and whether any group split."""
     ids: dict[tuple, int] = {}
     for i, t in zip(live, traces):
         group[i] = ids.setdefault((group[i], abs(t)), len(ids))
-    return len(ids)
+    return _colliding(live, group), len(ids) > len({g for g, _ in ids})
 
 
 def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
@@ -400,14 +401,15 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     tr rho(w) = P_w(characters of rho) exactly at an integer rep, so |tr| of
     a word there is |P| of its key +-P, and one rep where |tr| differs
     proves two memo keys lie in different blocks.  Reps are drawn from one
-    seeded stream, n_reps at most, in two phases:
+    seeded stream, n_reps at most, in two phases on the same memo-key
+    positions:
 
     1. Memo keys are grouped by |tr| of their first class until a rep
        splits no group.  A key alone in its group is its own block, with
        no rewrite; only the keys that share a group are rewritten to their
-       R_min keys.
-    2. Blocks that still agree at every rep so far draw the further reps,
-       while two blocks agree, each evaluated on those blocks only.
+       R_min keys, and each is labelled with its block's first position.
+    2. Labels that still agree at every rep so far draw the further reps,
+       while two labels agree, each evaluated on those labels only.
 
     Flagged are the pairs of distinct blocks that agree at every rep, so
     neither the partition nor the flags depend on when a rep is drawn.
@@ -433,46 +435,38 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     rng = random.Random(seed)
     drawn = 0
     # 1. group memo keys by |tr| until a rep splits no group
-    key_group = [0] * len(keys)
-    live = _colliding(range(len(keys)), key_group)
-    n_groups = 1
+    group = [0] * len(keys)
+    live, split = _colliding(range(len(keys)), group), True
     program = sg.compile_classes(first.values())
-    while live and drawn < n_reps:
+    while live and split and drawn < n_reps:
         traces = program.traces(random_exact_rep(m, rng))
         drawn += 1
-        if _split(live, key_group, [traces[i] for i in live]) == n_groups:
-            break
-        live = _colliding(live, key_group)
-        n_groups = len({key_group[i] for i in live})
+        live, split = _split(live, group, [traces[i] for i in live])
     del program  # the rewrites below grow the memo; free the tree first
     # a key's label is the position of the first key of its block, so an
     # R_min key is held once per block, not once per key
-    label_of = list(range(len(keys)))
-    first_of: dict[tuple, int] = {}  # R_min key -> label
+    label = list(range(len(keys)))
+    label_at: dict[tuple, int] = {}  # R_min key -> label
     for i in live:
-        label_of[i] = first_of.setdefault(rmin_key(rw.keyed(keys[i])), i)
-    start = {label_of[i]: key_group[i] for i in live}  # label -> phase-1 group of its keys
-    # classes grouped by label; a label met before joins its block
-    blocks: dict = {}
-    block_of = {key: blocks.setdefault(label, []) for key, label in zip(keys, label_of)}
-    for key, cls in keyed:
-        block_of[key].append(cls)
-    partition = [tuple(v) for v in blocks.values()]
-    # 2. the same stream, while two blocks agree at every rep so far
-    words = [block[0] for block in partition]
-    group = [start.get(label) for label in blocks]
-    live = _colliding([i for i, label in enumerate(blocks) if label in start], group)
+        label[i] = label_at.setdefault(rmin_key(rw.keyed(keys[i])), i)
+    # 2. the same stream, while two labels agree at every rep so far; a
+    # label keeps its keys' phase-1 group, as they agree in |tr| at any rep
+    live = _colliding(sorted({label[i] for i in live}), group)
     while len(live) > 1 and drawn < n_reps:
         rep = random_exact_rep(m, rng)
         drawn += 1
-        _split(live, group, sg.compile_classes([words[i] for i in live]).traces(rep))
-        live = _colliding(live, group)
-    # live is in block order, so groups come in the order of their first block
+        live, _ = _split(live, group, sg.compile_classes([first[keys[i]] for i in live]).traces(rep))
+    # live ascends, so groups come in the order of their first block
     groups: dict[int, list] = {}
     for i in live:
-        groups.setdefault(group[i], []).append(words[i])
+        groups.setdefault(group[i], []).append(first[keys[i]])
     flagged = [pair for g in groups.values() for pair in combinations(g, 2)]
-    return partition, flagged
+    # classes grouped by label; labels ascend, as blocks come first-seen
+    blocks: dict[int, list] = {}
+    block_of = {key: blocks.setdefault(at, []) for key, at in zip(keys, label)}
+    for key, cls in keyed:
+        block_of[key].append(cls)
+    return [tuple(v) for v in blocks.values()], flagged
 
 
 def rmin_test(w1, w2, m: int, seed: int = 0, n_reps: int = 16) -> RminVerdict:

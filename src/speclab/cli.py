@@ -9,6 +9,7 @@ defaults; a flag given on the command line wins over it.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from contextlib import nullcontext
@@ -52,13 +53,22 @@ def _out(args, text) -> None:
     """Write text, a str or an iterable of str parts, to --output or stdout.
 
     Parts are written as they come, _CHUNK of them joined per write, so a
-    command that yields its lines never holds its whole text."""
+    command that yields its lines never holds its whole text.  Over a raw
+    stream (stdout under PYTHONUNBUFFERED) the text layer would drop what a
+    short write leaves, so there the bytes go until all are taken, and a
+    closed pipe raises."""
     if isinstance(text, str):
         text = (text,)
     parts = iter(text)
     with open(args.output, "w") if args.output else nullcontext(sys.stdout) as f:
+        raw = getattr(f, "buffer", None)
         while chunk := list(islice(parts, _CHUNK)):
-            f.write("".join(chunk))
+            if not isinstance(raw, io.RawIOBase):
+                f.write("".join(chunk))
+                continue
+            view = memoryview("".join(chunk).encode(f.encoding, f.errors))
+            while view:
+                view = view[raw.write(view):]
 
 
 def _load_rep(args) -> fricke.SurfaceRep:

@@ -35,9 +35,6 @@ class LengthSpectrum:
     rep_digest: str
     exact: bool
 
-    def as_rows(self):
-        return list(zip(self.classes, self.traces, self.lengths))
-
 
 def spectrum(rep: SurfaceRep, maxlen: int, classes=None) -> LengthSpectrum:
     """|trace| and translation length of every class, read from |tr| alone.
@@ -116,9 +113,6 @@ class Pattern:
             for i in block:
                 out[i] = label
         return out
-
-    def block_of(self) -> dict:
-        return dict(zip(self.classes, self.labels()))
 
 
 def pattern(s: LengthSpectrum) -> Pattern:

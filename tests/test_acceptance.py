@@ -185,7 +185,7 @@ def test_a7_arithmetic_point_contrast(acceptance):
     rep = modular_torus_rep()
     s = spectrum(rep, 2)
     p = pattern(s)
-    where = p.block_of()
+    where = dict(zip(p.classes, p.labels()))
     found = None
     for block in p.blocks:
         for i in range(len(block)):

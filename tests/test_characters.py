@@ -593,6 +593,8 @@ def test_rmin_pairs_matches_rewrite_first_oracle(monkeypatch, m, maxlen):
         for seed, n_reps in product((1, 7), (1, 2, 16)):
             got = rmin_pairs(classes, m, seed=seed, n_reps=n_reps)
             assert got == _rewrite_first_pairs(classes, m, seed, n_reps), (name, seed, n_reps)
+            # the classes are read in one pass, so a one-shot iterator will do
+            assert rmin_pairs(iter(classes), m, seed=seed, n_reps=n_reps) == got, (name, seed, n_reps)
             if name == "f5" and n_reps == 16:
                 assert len(got[0]) == 6 and len(got[1]) == 3
 
@@ -604,6 +606,26 @@ def test_rmin_pairs_rewrites_only_keys_no_rep_told_apart(monkeypatch, m, maxlen,
     monkeypatch.setattr(characters, "_rewriters", {})
     rmin_pairs(sg.enumerate_classes(sg.Presentation(1, m - 1), maxlen), m, seed=1)
     assert len(characters._rewriters[m].memo) <= most
+
+
+def test_later_reps_compile_only_the_labels_that_still_agree(monkeypatch):
+    # the first rep runs one program of every memo key; each later rep
+    # compiles the first classes of the labels no rep has told apart yet
+    sizes = []
+    real = sg.compile_classes
+
+    def recorded(classes):
+        classes = list(classes)
+        sizes.append(len(classes))
+        return real(classes)
+
+    monkeypatch.setattr(sg, "compile_classes", recorded)
+    f5 = [sg.canonical_class(w) for pair in F5_PAIRS for w in _f5_words(pair)]
+    rmin_pairs(sg.enumerate_classes(sg.Presentation.free(3), 5) + f5, 3, seed=1)
+    assert sizes == [440] + [6] * 12
+    del sizes[:]
+    rmin_pairs(f5, 3, seed=0)
+    assert sizes == [6] * 15
 
 
 @pytest.mark.parametrize("m,maxlen", [(2, 7), (3, 6)])

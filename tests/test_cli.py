@@ -509,14 +509,17 @@ def test_spectrum_output_peak_is_the_spectrums(fmt, tmp_path):
     assert peak < 6_000_000, peak
 
 
-def test_closed_pipe_is_an_input_error():
+@pytest.mark.parametrize("command", ["spectrum", "pattern"])  # many writes, one write
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_pipe_is_an_input_error(command, unbuffered):
     # The reader takes 100 bytes and hangs up, so a later write fails with
-    # EPIPE.  PYTHONUNBUFFERED is removed: unbuffered, a write that the pipe
-    # cuts short returns its short count, which the text layer drops without
-    # an error, so whether the command exits 0 then depends on which write
-    # is cut -- an artifact of that mode, not behaviour to keep.
+    # EPIPE.  Under PYTHONUNBUFFERED stdout's text layer sits on the raw
+    # stream and would drop the short count of a write the pipe cuts short,
+    # so there too every write must be completed or fail.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    argv = ["spectrum", "--seed", "1", "--rank", "3", "--maxlen", "7"]
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    argv = [command, "--seed", "1", "--rank", "3", "--maxlen", "7"]
     with subprocess.Popen(
         [sys.executable, "-m", "speclab.cli", *argv],
         stdout=subprocess.PIPE,
@@ -556,7 +559,8 @@ def test_golden_compare_stdout(first, second, code, digest, tmp_path, capsys):
 
 def test_golden_exact_spectrum_rows():
     # modular torus: integer matrices, so the traces are exact integers
-    rows = spectrum(modular_torus_rep(), 8).as_rows()
+    s = spectrum(modular_torus_rep(), 8)
+    rows = list(zip(s.classes, s.traces, s.lengths))
     text = "".join(f"{k} {t!r} {l!r}\n" for k, t, l in rows)
     assert len(rows) == 1386
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -569,12 +573,13 @@ def test_golden_exact_spectrum_rows():
 def _dumps_spectrum(rep, maxlen):
     """`spectrum` jsonl as one json.dumps per row."""
     fmt = sg.word_formatter(rep.presentation)
+    s = spectrum(rep, maxlen)
     lines = [
         json.dumps(
             {"class": fmt(k.word), "trace": f"{float(t):.17g}", "length": f"{float(l):.17g}"},
             sort_keys=True,
         )
-        for k, t, l in spectrum(rep, maxlen).as_rows()
+        for k, t, l in zip(s.classes, s.traces, s.lengths)
     ]
     return "\n".join(lines) + "\n"
 

@@ -112,15 +112,15 @@ def test_spectrum_matches_reference_built_with_evaluate(rep, maxlen):
 
 def test_spectrum_kernel_branches_are_reached():
     s = spectrum(modular_torus_rep(), 4)
-    by_key = {str(k): (t, l) for k, t, l in s.as_rows()}
+    by_key = {str(k): (t, l) for k, t, l in zip(s.classes, s.traces, s.lengths)}
     assert by_key["abAB"] == (2, 0.0) and type(by_key["abAB"][0]) is int
     s = spectrum(_near_parabolic_rep(), 4)
-    by_key = {str(k): (t, l) for k, t, l in s.as_rows()}
+    by_key = {str(k): (t, l) for k, t, l in zip(s.classes, s.traces, s.lengths)}
     assert 2 < by_key["a"][0] <= 2 + EPS and by_key["a"][1] == 0.0
     assert 2 - EPS <= by_key["aB"][0] < 2 and by_key["aB"][1] == 0.0
     for name in ("exact-identity", "float-identity"):
         s = spectrum(*KERNEL_REPS[name])
-        by_key = {str(k): (t, l) for k, t, l in s.as_rows()}
+        by_key = {str(k): (t, l) for k, t, l in zip(s.classes, s.traces, s.lengths)}
         assert by_key["a"] == by_key["aa"] == (2, 0.0)
         assert by_key["b"][1] == by_key["ab"][1] > 0
 
@@ -298,7 +298,7 @@ def test_pattern_blocks_name_positions():
     blocks = [tuple(b) for b in p.position_blocks()]
     assert len(blocks) == p.n_blocks and sum(map(len, blocks)) == len(s.classes)
     assert p.blocks == tuple(tuple(s.classes[i] for i in b) for b in blocks)
-    where = p.block_of()
+    where = dict(zip(p.classes, p.labels()))
     assert all(where[k] == i for i, b in enumerate(p.blocks) for k in b)
 
 
@@ -367,7 +367,7 @@ def test_modular_torus_arithmetic_coincidence():
     p = pattern(s)
     a = sg.canonical_class((1,))
     b = sg.canonical_class((2,))
-    where = p.block_of()
+    where = dict(zip(p.classes, p.labels()))
     # traces 3 and 3: same length block ...
     assert where[a] == where[b]
     # ... yet provably unrelated in the minimal pattern
@@ -441,7 +441,7 @@ def test_scan_command_exits_1_when_a_trial_fails(monkeypatch, capsys):
 
 def test_rows_to_csv_layout():
     s = _toy_spectrum([((1,), 1.0)])
-    lines = list(rows_to_csv(s.as_rows()))  # yielded a line at a time
+    lines = list(rows_to_csv(zip(s.classes, s.traces, s.lengths)))  # yielded a line at a time
     assert len(lines) == 2 and all(line.endswith("\n") for line in lines)
     assert lines[0] == "class,trace,length\n"
     assert lines[1].startswith("a,")
