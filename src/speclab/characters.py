@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import surface_group as sg
+from .fricke import SurfaceRep
 from .mobius import Mat2
 
 # A monomial is one int: the exponent of t_S sits in a 32-bit field of its
@@ -342,8 +343,6 @@ def character_values(rep, m: int) -> dict[int, object]:
 
 def random_exact_rep(m: int, rng: random.Random):
     """Random integer SL2 representation (products of elementary matrices)."""
-    from .fricke import SurfaceRep  # local import to avoid a cycle
-
     mats = []
     for _ in range(m):
         mat = Mat2(1, 0, 0, 1)

@@ -72,12 +72,19 @@ def _out(args, text) -> None:
 
 
 def _load_rep(args) -> fricke.SurfaceRep:
+    """The rep of --rep-file or of --seed.  A file's rank is its own, and a
+    --rank that differs from it is an input error; a sample's rank is
+    --rank, 2 by default."""
     sources = [args.rep_file is not None, args.seed is not None]
     if sum(sources) != 1:
         raise ValueError("exactly one of --rep-file / --seed is required")
-    if args.rep_file:
-        return fricke.rep_from_json(Path(args.rep_file).read_text())
-    return fricke.schottky_sample(args.seed, args.rank)
+    if args.rep_file is None:
+        return fricke.schottky_sample(args.seed, 2 if args.rank is None else args.rank)
+    rep = fricke.rep_from_json(Path(args.rep_file).read_text())
+    rank = rep.presentation.free_rank
+    if args.rank not in (None, rank):
+        raise ValueError(f"--rank {args.rank} differs from the rep file's free rank {rank}")
+    return rep
 
 
 # -- subcommands -------------------------------------------------------------
@@ -227,12 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("sample", cmd_sample, "emit a certified discrete rep", "rank seed", True)
 
+    # a rep file carries its own rank, so --rank stays None unless given (_load_rep)
     p = command("spectrum", cmd_spectrum, "class / trace / length table", "rank maxlen seed")
     p.add_argument("--rep-file", type=str, default=None)
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
+    p.set_defaults(rank=None)
 
     p = command("pattern", cmd_pattern, "equal-length blocks", "rank maxlen seed")
     p.add_argument("--rep-file", type=str, default=None)
+    p.set_defaults(rank=None)
 
     p = command("compare", cmd_compare, "sub-relation report for two reps", "maxlen")
     p.add_argument("--rep-file", type=str, required=True)

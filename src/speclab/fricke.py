@@ -15,6 +15,7 @@ generators prove them free and discrete (Maskit, Kleinian Groups, 1988).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -167,8 +168,6 @@ class SurfaceRep:
         return SurfaceRep(self.presentation, mats)
 
     def digest(self) -> str:
-        import hashlib
-
         payload = json.dumps(
             [[repr(x) for x in m.entries()] for m in self.matrices], sort_keys=True
         )
@@ -498,9 +497,11 @@ def rep_from_json(text: str) -> SurfaceRep:
         )
     if not all(isinstance(row, list) and len(row) == 4 for row in rows):
         raise FrickeError("every matrix needs a list of 4 entries a, b, c, d")
+    if any(type(v) is bool for row in rows for v in row):
+        raise FrickeError("matrix entries must be numbers, not true or false")
     try:
         mats = tuple(Mat2(*(float(v) for v in row)) for row in rows)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FrickeError("matrix entries must be numbers") from None
     _check_unit_det(mats)
     return SurfaceRep(pres, mats)

@@ -36,21 +36,19 @@ class LengthSpectrum:
     exact: bool
 
 
-def spectrum(rep: SurfaceRep, maxlen: int, classes=None) -> LengthSpectrum:
+def spectrum(rep: SurfaceRep, maxlen: int, program=None) -> LengthSpectrum:
     """|trace| and translation length of every class, read from |tr| alone.
 
-    Without `classes` the keys and traces come from one walk of the necklace
-    tree (`surface_group.class_traces`).  Given classes are a list of keys,
-    compiled here, or a `surface_group.ClassProgram` that the caller
-    compiled once for many reps; the program is run for rep.  The window is
-    `mobius.trace_gap`, as in `classify`: above 2 + gap the length is
-    2 acosh(|tr|/2), which assumes det = 1; from 2 - gap up it is 0.0
-    (parabolic or identity); below, the class is elliptic and
-    EllipticClassFound is raised."""
-    if classes is None:
+    Without `program` the keys and traces come from one walk of the
+    necklace tree (`surface_group.class_traces`); a given
+    `surface_group.ClassProgram`, compiled once for many reps, is run for
+    rep.  The window is `mobius.trace_gap`, as in `classify`: above
+    2 + gap the length is 2 acosh(|tr|/2), which assumes det = 1; from
+    2 - gap up it is 0.0 (parabolic or identity); below, the class is
+    elliptic and EllipticClassFound is raised."""
+    if program is None:
         classes, traces = sg.class_traces(rep, maxlen)
     else:
-        program = classes if isinstance(classes, sg.ClassProgram) else sg.compile_classes(classes)
         classes, traces = program.classes, program.traces(rep)
     exact = all(m.exact() for m in rep.matrices)
     gap = trace_gap(exact)
@@ -194,7 +192,7 @@ def scan_generic(
     program = sg.compile_classes(classes)
 
     def one_trial(index, rep, trial_seed):
-        s = spectrum(rep, maxlen, classes=program)
+        s = spectrum(rep, maxlen, program=program)
         pg = pattern(s)
         sub = subrelation(pmin, pg)
         return {

@@ -149,9 +149,9 @@ def canonical_class(w) -> ConjClassKey:
     return ConjClassKey(least_rotation(w))
 
 
-def _necklaces(rank: int, maxlen: int, gens=None):
+def _necklaces(rank: int, maxlen: int, table=None):
     """One key per class of cyclic length <= maxlen, each its least rotation,
-    sorted by (length, letter order); with `gens`, also each key's trace.
+    sorted by (length, letter order); with a `table`, also each key's trace.
 
     These are the necklaces over the 2m letters with no letter next to its
     inverse, wrap-around included.  The FKM prenecklace recursion (Cattell,
@@ -166,13 +166,13 @@ def _necklaces(rank: int, maxlen: int, gens=None):
     whole word its Lyndon prefix, which always divides n.  Length 1 is the
     2m one-letter words.
 
-    `gens` holds the entries (P, Q, R, S) of each letter's matrix, by letter
+    `table` is `_letter_table(rep)`, read as table[x] once per letter
     index.  Each call then extends its parent's prefix product by one
     letter, one 2x2 multiply per walk node, left to right from the identity
     (1, 0, 0, 1) with the sums of Mat2.__mul__; each leaf's trace, prefix
     times last letter, is (A P + B R) + (C Q + D S).  That is `a + d` of
     the chain `evaluate` forms, so every trace is bit-identical to it.
-    Returns (keys, traces); traces is None without `gens`."""
+    Returns (keys, traces); traces is None without `table`."""
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     letters = [x for k in range(1, rank + 1) for x in (k, -k)]  # index j ^ 1 is the inverse
@@ -180,7 +180,8 @@ def _necklaces(rank: int, maxlen: int, gens=None):
     one = [(x,) for x in letters]
     new = tuple.__new__  # ConjClassKey(w) without its Python-level __new__
     keys: list[ConjClassKey] = []
-    traces = None if gens is None else []
+    gens = None if table is None else [table[x] for x in letters]
+    traces = None if table is None else []
 
     def leaves(start: int, cut: int, first: int, word: Word, m) -> None:
         """Keep word + letter j for every j >= start other than cut and
@@ -236,15 +237,13 @@ def class_traces(rep, maxlen: int) -> tuple[list[ConjClassKey], list]:
     each class word's product, from one walk of the necklace tree; each
     trace is bit-identical to `a + d` from `evaluate` and to the trace a
     `ClassProgram` reads."""
-    gens = []
-    for m in rep.matrices[: rep.presentation.free_rank]:
-        gens += [m.entries(), m.inverse().entries()]
-    return _necklaces(rep.presentation.free_rank, maxlen, gens)
+    return _necklaces(rep.presentation.free_rank, maxlen, _letter_table(rep))
 
 
 def _letter_table(rep) -> dict:
     """Entries of each letter's matrix: +k the k-th of `rep.matrices`, -k
-    its inverse."""
+    its inverse.  The one source of letter entries for every trace engine:
+    `evaluate`, `ClassProgram.traces` and the walk of `class_traces`."""
     gens = {}
     for k, m in enumerate(rep.matrices, 1):
         gens[k] = m.entries()
@@ -267,16 +266,15 @@ class ClassProgram(NamedTuple):
     """A list of class keys compiled once to the products its traces need,
     then run once per rep (`traces`).
 
-    This serves given class lists: `spectrum` on given classes (a scan
-    compiles its shared classes once for all trials) and the fingerprints
-    of `rmin_pairs`.  The spectrum of all classes up to a length takes its
-    traces from the necklace walk instead (`class_traces`).
+    This serves a class list run at many reps: a scan compiles its shared
+    classes once for all trials, and `rmin_pairs` its fingerprint words.
+    The spectrum of all classes up to a length at one rep takes its traces
+    from the necklace walk instead (`class_traces`).
 
     The program is a prefix tree over the whole list: node 0 is the empty
     prefix, and node i > 0 is (parent node, letter), one node per distinct
-    proper prefix of a word.  A word is (node of its prefix, last letter);
-    the empty word is (0, 0), and letter 0 reads the identity.  Products
-    are formed left to right from (1, 0, 0, 1) with the sums of
+    proper prefix of a word.  A word is (node of its prefix, last letter).
+    Products are formed left to right from (1, 0, 0, 1) with the sums of
     Mat2.__mul__, and a word's trace is read as (A P + B R) + (C Q + D S)
     from its prefix's product and its last letter, so every trace is
     bit-identical to `a + d` of `evaluate`."""
@@ -289,7 +287,6 @@ class ClassProgram(NamedTuple):
         """The trace of each class's product under rep, in class order:
         ints for an exact rep, as `evaluate` gives them."""
         gens = _letter_table(rep)
-        gens[0] = (1, 0, 0, 1)
         prods = [(1, 0, 0, 1)]
         add = prods.append
         for parent, x in self.nodes:
@@ -306,10 +303,10 @@ class ClassProgram(NamedTuple):
 
 
 def compile_classes(classes) -> ClassProgram:
-    """The program of a list of class keys, in the order given: each key's
-    `word` may be any word, in any order, repeats and () included.  A node
-    is keyed by itself, (parent node, letter), which names its prefix, so
-    prefixes are shared across the whole list."""
+    """The program of class keys, in the order given: non-empty words, as
+    enumerate_classes and canonical_class make them, in any order and
+    with repeats.  A node is keyed by itself, (parent node, letter), which
+    names its prefix, so prefixes are shared across the whole list."""
     classes = tuple(classes)
     node: dict[tuple[int, int], int] = {}  # (parent node, letter) -> node, in order made
     leaves = []
@@ -318,7 +315,7 @@ def compile_classes(classes) -> ClassProgram:
         parent = 0
         for x in w[:-1]:
             parent = node.setdefault((parent, x), len(node) + 1)
-        leaves.append((parent, w[-1]) if w else (0, 0))
+        leaves.append((parent, w[-1]))
     return ClassProgram(classes, tuple(node), tuple(leaves))
 
 

@@ -217,6 +217,8 @@ def test_rep_file_with_short_row_is_input_error(tmp_path, capsys):
         {"genus": 1, "punctures": 1, "matrices": [["2", "x", 0, 0.5], [3, 1, 1, 1], [1, 0, 0, 1]]},
         # a closed genus-2 surface: only punctured surfaces are supported
         {"genus": 2, "punctures": 0, "matrices": [[1, 0, 0, 1]] * 4},
+        # an integer entry too large for a float
+        {"genus": 1, "punctures": 1, "matrices": [[10**400, 0, 0, 1]] + [[1, 0, 0, 1]] * 2},
     ],
 )
 def test_malformed_rep_file_is_input_error(tmp_path, capsys, doc):
@@ -260,6 +262,22 @@ def test_compare_rejects_malformed_other(tmp_path, capsys):
     bad.write_text("[1, 2]")
     assert main(["compare", "--rep-file", str(good), "--other", str(bad), "--maxlen", "2"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "pattern"])
+def test_rank_other_than_the_rep_files_is_input_error(command, tmp_path, capsys):
+    rep = tmp_path / "rep3.json"
+    main(["sample", "--seed", "1", "--rank", "3", "--output", str(rep)])
+    argv = [command, "--rep-file", str(rep), "--maxlen", "2"]
+    assert main([*argv, "--rank", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --rank 2 differs from the rep file's free rank 3\n"
+    # without --rank the file's rank is read; a matching --rank is accepted
+    assert main(argv) == 0
+    own = capsys.readouterr().out
+    assert main([*argv, "--rank", "3"]) == 0
+    assert capsys.readouterr().out == own != ""
 
 
 def test_rep_file_and_seed_conflict(tmp_path):

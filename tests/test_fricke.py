@@ -167,6 +167,14 @@ def test_sampled_reps_survive_json_roundtrip():
             assert cert is not None and cert == rep.validity.discreteness_certificate
 
 
+def test_rep_from_json_rejects_boolean_entries():
+    # float(True) is 1.0, so without the check an all-boolean file loads as
+    # identity matrices, every trace 2
+    doc = {"genus": 1, "punctures": 1, "matrices": [[True, False, False, True]] * 3}
+    with pytest.raises(FrickeError, match="not true or false"):
+        rep_from_json(json.dumps(doc))
+
+
 def test_forged_certificate_is_not_trusted():
     # the modular torus's isometric circles overlap: no certificate exists
     doc = json.loads(rep_to_json(modular_torus_rep()))

