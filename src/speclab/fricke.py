@@ -327,16 +327,9 @@ def fricke_from_rep(rep: SurfaceRep) -> FrickeVector:
     beta1 = rep.matrix(2)
     p = _beta_normalization_point(beta1, x_plus, x_minus)
     h = _mobius_to_0_inf_1(x_minus, x_plus, p)
-    norm = rep.conjugated(h)
-    mats = list(norm.matrices)
-    # sign conventions: lambda > 0, a1 + b1 > 0, c_i > 0, tr(gamma_j) >= 0
-    a1m = mats[0]
-    if float(a1m.a) < 0:
-        a1m = -a1m
-    b1m = mats[1]
-    if float(b1m.a + b1m.b) < 0:
-        b1m = -b1m
-    mats[0], mats[1] = a1m, b1m
+    mats = rep.conjugated(h).matrices
+    # the first pair carries no coordinate; sign conventions: c_i > 0,
+    # tr(gamma_j) >= 0
     values = []
     for i in range(2, g + 1):
         am = mats[2 * i - 2]
@@ -345,13 +338,11 @@ def fricke_from_rep(rep: SurfaceRep) -> FrickeVector:
             am = -am
         if float(bm.c) < 0:
             bm = -bm
-        mats[2 * i - 2], mats[2 * i - 1] = am, bm
         values += [float(am.a), float(am.c), float(am.d), float(bm.a), float(bm.c), float(bm.d)]
     for j in range(1, n + 1):
         gm = mats[2 * g + j - 1]
         if float(gm.tr()) < 0:
             gm = -gm
-        mats[2 * g + j - 1] = gm
         values += [float(gm.a), float(gm.c)]
     return FrickeVector(g, n, tuple(values))
 
@@ -425,39 +416,39 @@ def punctured_torus_sample(seed: int) -> SurfaceRep:
 
     The representation comes out already in Fricke normal form: the first
     generator diagonal with attracting point at infinity, the second fixing 1.
+
+    One draw suffices.  For x, y in [3, 5] the discriminant
+    (x^2 - 4)(y^2 - 4) - 16 is at least 9.  c1 = 0 would make beta fix
+    infinity as alpha does, and such an elementary pair has commutator
+    trace 2, not -2.  And a1 + b1 = c1 + d1 = (y + sqrt(y^2 - 4)) / 2 > 2.6.
+    Only rounding is left to check: det 1, tr gamma = 2 and validity, and a
+    draw that fails them raises SamplingFailed.
     """
     rng = random.Random(seed)
-    for _ in range(256):
-        x = rng.uniform(3.0, 5.0)
-        y = rng.uniform(3.0, 5.0)
-        disc = x * x * y * y - 4.0 * (x * x + y * y)
-        if disc <= 0:
-            continue
-        z = (x * y + math.sqrt(disc)) / 2.0
-        lam = (x + math.sqrt(x * x - 4.0)) / 2.0
-        alpha = Mat2(lam, 0.0, 0.0, 1.0 / lam)
-        # beta: trace y, fixed point at 1 (a1 + b1 = c1 + d1), tr(alpha beta) = z
-        a1 = (lam * z - y) / (lam * lam - 1.0)
-        d1 = y - a1
-        # c1^2 + (d1 - a1) c1 - (a1 d1 - 1) = 0
-        disc2 = y * y - 4.0
-        c1 = ((a1 - d1) + math.sqrt(disc2)) / 2.0
-        if c1 == 0.0:
-            c1 = ((a1 - d1) - math.sqrt(disc2)) / 2.0
-        b1 = c1 + d1 - a1
-        beta = Mat2(a1, b1, c1, d1)
-        if abs(float(beta.det()) - 1.0) > 1e-9:
-            continue
-        if a1 + b1 < 0:
-            beta = -beta
-        comm = alpha * beta * alpha.inverse() * beta.inverse()
-        gamma = -comm.inverse()
-        if abs(float(gamma.tr()) - 2.0) > 1e-8:
-            continue
-        rep = SurfaceRep(sg.Presentation(genus=1, punctures=1), (alpha, beta, gamma))
-        if rep.validity.valid:
-            return rep
-    raise SamplingFailed("no valid punctured-torus sample")
+    x = rng.uniform(3.0, 5.0)
+    y = rng.uniform(3.0, 5.0)
+    disc = x * x * y * y - 4.0 * (x * x + y * y)
+    z = (x * y + math.sqrt(disc)) / 2.0
+    lam = (x + math.sqrt(x * x - 4.0)) / 2.0
+    alpha = Mat2(lam, 0.0, 0.0, 1.0 / lam)
+    # beta: trace y, fixed point at 1 (a1 + b1 = c1 + d1), tr(alpha beta) = z
+    a1 = (lam * z - y) / (lam * lam - 1.0)
+    d1 = y - a1
+    # c1^2 + (d1 - a1) c1 - (a1 d1 - 1) = 0
+    disc2 = y * y - 4.0
+    c1 = ((a1 - d1) + math.sqrt(disc2)) / 2.0
+    b1 = c1 + d1 - a1
+    beta = Mat2(a1, b1, c1, d1)
+    comm = alpha * beta * alpha.inverse() * beta.inverse()
+    gamma = -comm.inverse()
+    rep = SurfaceRep(sg.Presentation(genus=1, punctures=1), (alpha, beta, gamma))
+    if (
+        abs(float(beta.det()) - 1.0) > 1e-9
+        or abs(float(gamma.tr()) - 2.0) > 1e-8
+        or not rep.validity.valid
+    ):
+        raise SamplingFailed(f"punctured-torus draw at seed {seed} fails a rounding check")
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,10 @@ class Presentation:
     def __post_init__(self):
         if self.punctures < 1:
             raise ValueError(f"need punctures >= 1 (no closed surfaces), got {self.punctures}")
-        if 2 * self.genus + self.punctures < 2:
-            raise ValueError("need 2g + n >= 2 (non-elementary)")
+        if 2 * self.genus + self.punctures < 3:
+            raise ValueError(
+                f"need 2g + n >= 3 (free rank >= 2), got (g,n)=({self.genus},{self.punctures})"
+            )
 
     @classmethod
     def free(cls, m: int) -> "Presentation":

@@ -219,6 +219,8 @@ def test_rep_file_with_short_row_is_input_error(tmp_path, capsys):
         {"genus": 2, "punctures": 0, "matrices": [[1, 0, 0, 1]] * 4},
         # an integer entry too large for a float
         {"genus": 1, "punctures": 1, "matrices": [[10**400, 0, 0, 1]] + [[1, 0, 0, 1]] * 2},
+        # a sphere with two punctures: free rank 1, every class a power of g1
+        {"genus": 0, "punctures": 2, "matrices": [[2, 0, 0, 0.5], [0.5, 0, 0, 2]]},
     ],
 )
 def test_malformed_rep_file_is_input_error(tmp_path, capsys, doc):
@@ -459,6 +461,13 @@ GOLDEN_STDOUT = [
         ["tracepoly", "--rank", "3", "--word", "abcabc"],
         "2418fae9d147ae74aa7b634472a325b33b07544e6967d760477a477a48016f7a",
     ),
+    # rank-4 polynomials depend on the order of the rewrite rules: without the
+    # adjacent-squares rule this word's polynomial changes, though its value
+    # at every rep does not
+    (
+        ["tracepoly", "--rank", "4", "--word", "abcdbb"],
+        "df64a1c64d2638535e999e661e2b904e028d19505ae914a553d8fdfc73b9e331",
+    ),
     (
         ["rmin", "--seed", "1", "ab", "ba", "aB"],
         "214d171e2d2ca68b7829aedfc2685259bd49458d1a34408f2c554ad95a57ad5b",
@@ -485,6 +494,7 @@ GOLDEN_STDOUT = [
         "tracepoly-commutator",
         "tracepoly-squares",
         "tracepoly-rank3",
+        "tracepoly-rank4",
         "rmin",
         "rmin-rank3",
     ],

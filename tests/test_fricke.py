@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -79,6 +80,24 @@ def test_punctured_torus_sample_validity():
         assert abs(abs(float(gamma1.tr())) - 2.0) < 1e-9
         commutator = sg.evaluate((1, 2, -1, -2), rep)
         assert abs(abs(float(commutator.tr())) - 2.0) < 1e-9
+
+
+def test_punctured_torus_sample_golden():
+    # every sampled rep, to the last printed digit, at seeds 0-49
+    text = "\n".join(rep_to_json(punctured_torus_sample(s)) for s in range(50))
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "f8effa35e9b00a9617e40a980e3eacbdb812411e902023e5193aff0c90e6ad01"
+    )
+
+
+def test_fricke_from_rep_golden():
+    # the coordinates read off the same reps, every float's repr
+    text = "\n".join(repr(fricke_from_rep(punctured_torus_sample(s)).values) for s in range(50))
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "561e612e4786ab20eb1e06245f76685016f60de34ce5b46ac2c57acf91ca5e91"
+    )
 
 
 def test_fricke_vector_dimension():
@@ -219,6 +238,37 @@ def test_rep_from_fricke_accepts_only_its_normal_form(g, n):
         assert max(abs(x - y) for x, y in zip(v.values, back.values)) < 1e-7
         accepted += 1
     assert accepted >= 10
+
+
+def test_fricke_from_rep_reads_a_negated_rep_alike():
+    # -M and M are one Mobius map: the chart flips c_i < 0 on handles and
+    # tr gamma_j < 0 on punctures, so a rep with every matrix negated reads
+    # back to the very same floats
+    accepted = 0
+    for v in _seeded_vectors(2, 2):
+        try:
+            rep = rep_from_fricke(v)
+        except NotInFrickeImage:
+            continue
+        negated = SurfaceRep(rep.presentation, tuple(-m for m in rep.matrices))
+        assert fricke_from_rep(negated).values == fricke_from_rep(rep).values
+        accepted += 1
+    assert accepted == 15
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("c", [0.0, -1.5])
+def test_fricke_vector_rejects_a_handle_with_c_not_positive(k, c):
+    # the handle (a, c, d, a', c', d'): c at index 1, c' at index 4
+    values = [0.5, 1.0, 3.0, 2.0, 1.5, 1.0, 0.5, 2.0]
+    values[k] = c
+    with pytest.raises(FrickeError, match="c_i > 0"):
+        FrickeVector(2, 1, tuple(values))
+
+
+def test_fricke_vector_rejects_a_puncture_with_g_zero():
+    with pytest.raises(FrickeError, match="g_j != 0"):
+        FrickeVector(1, 2, (2.0, 1.0, 0.5, 0.0))
 
 
 def _normal_form_branches(v):

@@ -58,6 +58,15 @@ def test_presentation_needs_a_puncture():
             Presentation(genus, 0)
 
 
+def test_presentation_needs_free_rank_two():
+    # a sphere with two punctures has the cyclic group Z: every class is a
+    # power of one generator, so there is no length pattern to compare
+    for genus, punctures in ((0, 1), (0, 2)):
+        with pytest.raises(ValueError, match=r"need 2g \+ n >= 3 \(free rank >= 2\)"):
+            Presentation(genus, punctures)
+    assert Presentation(0, 3).free_rank == 2
+
+
 def test_canonical_class_conjugation_invariance():
     rng = random.Random(7)
     letters = [1, 2, -1, -2]
