@@ -407,6 +407,12 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
        splits no group.  A key alone in its group is its own block, with
        no rewrite; only the keys that share a group are rewritten to their
        R_min keys, and each is labelled with its block's first position.
+       At rank 2 a key first takes the lower position of its reversal
+       orbit, and only orbits that share a group with another orbit are
+       rewritten, once per orbit.  (A, B) -> (A^-1, B^-1) fixes t1, t2 and
+       t12, and Z[t1, t2, t12] is the whole character ring of F2, so
+       P_reverse(w) = P_(w letterwise inverted) = P_w exactly.  At rank 3
+       the map swaps t123 and t132, and abc, cba are distinct.
     2. Labels that still agree at every rep so far draw the further reps,
        while two labels agree, each evaluated on those labels only.
 
@@ -445,9 +451,17 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     # a key's label is the position of the first key of its block, so an
     # R_min key is held once per block, not once per key
     label = list(range(len(keys)))
+    if m == 2:
+        # a key and the key of its reverse share a block (step 1 above):
+        # both take the lower position, and only that one may be rewritten
+        at = {key: i for i, key in enumerate(keys)}
+        for i in live:
+            label[i] = min(i, at.get(_class_trace_key(sg.least_rotation(keys[i][::-1])), i))
     label_at: dict[tuple, int] = {}  # R_min key -> label
-    for i in live:
+    for i in _colliding([i for i in live if label[i] == i], group):
         label[i] = label_at.setdefault(rmin_key(rw.keyed(keys[i])), i)
+    for i in live:  # each key takes its orbit's label
+        label[i] = label[label[i]]
     # 2. the same stream, while two labels agree at every rep so far; a
     # label keeps its keys' phase-1 group, as they agree in |tr| at any rep
     live = _colliding(sorted({label[i] for i in live}), group)

@@ -34,6 +34,8 @@ class Presentation:
     punctures: int
 
     def __post_init__(self):
+        if self.genus < 0:
+            raise ValueError(f"need genus >= 0, got {self.genus}")
         if self.punctures < 1:
             raise ValueError(f"need punctures >= 1 (no closed surfaces), got {self.punctures}")
         if 2 * self.genus + self.punctures < 3:

@@ -251,6 +251,19 @@ def test_canonical_trace_key_rotation_and_inversion_invariant(m):
             assert _canonical_trace_key(v) == key
 
 
+def test_rank2_trace_polynomial_is_reversal_invariant():
+    # (A, B) -> (A^-1, B^-1) fixes t1, t2 and t12, which generate F2's
+    # character ring freely, so the rewriter finds P_reverse(w) = P_w
+    for k in sg.enumerate_classes(F2, 8):
+        assert trace_poly(k.word, 2) == trace_poly(k.word[::-1], 2), k
+
+
+def test_rank3_trace_polynomial_is_not_reversal_invariant():
+    # abc and cba are t123 and t132, which differ by more than a sign
+    abc, cba = trace_poly((1, 2, 3), 3), trace_poly((3, 2, 1), 3)
+    assert abc != cba and rmin_key(abc) != rmin_key(cba)
+
+
 def test_rmin_key_is_sign_blind():
     p = trace_poly((1, 2, -1, -2), 2)
     assert rmin_key(-p) == rmin_key(p)
@@ -370,7 +383,17 @@ def _class_lists(m, maxlen):
     shuffled = list(classes)
     random.Random(m * 100 + maxlen).shuffle(shuffled)
     one_of_each = [k for k in classes if k <= sg.canonical_class(sg.invert(k.word))]
-    return {"sorted": classes, "shuffled": shuffled, "one_of_each": one_of_each}
+    # not closed under reversal: of two memo keys that are each other's
+    # reverse, only the lower one's classes, so the other key is missing
+    one_of_each_reversal = [
+        k for k in classes if _class_trace_key(k.word) <= _class_trace_key(sg.least_rotation(k.word[::-1]))
+    ]
+    return {
+        "sorted": classes,
+        "shuffled": shuffled,
+        "one_of_each": one_of_each,
+        "one_of_each_reversal": one_of_each_reversal,
+    }
 
 
 def _rewrite_every_key(classes, m):
@@ -581,7 +604,7 @@ def _rewrite_first_pairs(classes, m, seed, n_reps):
     return partition, [pair for g in groups.values() for pair in combinations(g, 2)]
 
 
-@pytest.mark.parametrize("m,maxlen", [(2, 7), (3, 5), (3, 6), (4, 4)])
+@pytest.mark.parametrize("m,maxlen", [(2, 7), (2, 9), (3, 5), (3, 6), (4, 4)])
 def test_rmin_pairs_matches_rewrite_first_oracle(monkeypatch, m, maxlen):
     lists = _class_lists(m, maxlen)
     lists["empty"] = []
@@ -599,9 +622,9 @@ def test_rmin_pairs_matches_rewrite_first_oracle(monkeypatch, m, maxlen):
                 assert len(got[0]) == 6 and len(got[1]) == 3
 
 
-# seed 1 rewrites 199 keys at (3,6) and 1621 at (2,9); rewriting every key
-# first made 1754 and 1792
-@pytest.mark.parametrize("m,maxlen,most", [(3, 6, 400), (2, 9, 1792)])
+# seed 1 rewrites 199 keys at (3,6) and 84 at (2,9); rewriting every key
+# first made 1754 and 1792, and at (2,9) fingerprints alone left 1621
+@pytest.mark.parametrize("m,maxlen,most", [(3, 6, 400), (2, 9, 100)])
 def test_rmin_pairs_rewrites_only_keys_no_rep_told_apart(monkeypatch, m, maxlen, most):
     monkeypatch.setattr(characters, "_rewriters", {})
     rmin_pairs(sg.enumerate_classes(sg.Presentation(1, m - 1), maxlen), m, seed=1)
@@ -646,18 +669,31 @@ def test_cold_rmin_pattern_rewrites_only_keys_no_rep_told_apart(monkeypatch):
     assert len(characters._rewriters[3].memo) <= 400
 
 
+def test_cold_scan_prelude_rewrites_nothing_at_rank_2(monkeypatch):
+    # at (2,8), the scan prelude, the groups the reps leave are reversal
+    # orbits; 577 memo entries when every key that shared a group was rewritten
+    monkeypatch.setattr(characters, "_rewriters", {})
+    assert rmin_pattern(sg.enumerate_classes(F2, 8), 2).n_blocks == 471
+    assert characters._rewriters[2].memo == {}
+
+
 def test_rmin_pattern_rejects_a_repeated_class():
     a, b = sg.enumerate_classes(F2, 1)[:2]
     with pytest.raises(ValueError, match=f"class {a} is repeated"):
         rmin_pattern([a, b, a], 2)
 
 
-def test_rmin_pairs_needs_least_rotation_keys():
+def test_rmin_pairs_needs_least_rotation_keys(monkeypatch):
     # (2, 1) is not its own least rotation, so it is no memo key: its
     # rewrite steps to (1, 2), which does not decrease the measure
     keys = [sg.ConjClassKey((1, 2)), sg.ConjClassKey((2, 1))]
     with pytest.raises(RuntimeError, match="does not decrease"):
-        rmin_pairs(keys, 2)
+        rmin_pairs(keys, 3)
+    # at rank 2 the reverse of (2, 1) is keyed (1, 2): one reversal orbit,
+    # one block, and nothing is rewritten
+    monkeypatch.setattr(characters, "_rewriters", {})
+    assert rmin_pairs(keys, 2) == ([tuple(keys)], [])
+    assert characters._rewriters[2].memo == {}
 
 
 @pytest.mark.xfail(

@@ -58,6 +58,13 @@ def test_presentation_needs_a_puncture():
             Presentation(genus, 0)
 
 
+def test_presentation_needs_a_nonnegative_genus():
+    # 2g + n >= 3 holds at (g,n) = (-1,5), but no surface has genus -1
+    for genus, punctures in ((-1, 5), (-2, 9)):
+        with pytest.raises(ValueError, match=f"need genus >= 0, got {genus}"):
+            Presentation(genus, punctures)
+
+
 def test_presentation_needs_free_rank_two():
     # a sphere with two punctures has the cyclic group Z: every class is a
     # power of one generator, so there is no length pattern to compare
