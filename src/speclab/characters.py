@@ -404,9 +404,12 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     positions:
 
     1. Memo keys are grouped by |tr| of their first class until a rep
-       splits no group.  A key alone in its group is its own block, with
-       no rewrite; only the keys that share a group are rewritten to their
-       R_min keys, and each is labelled with its block's first position.
+       splits no group.  A rep at which every key still grouped has
+       |tr| = 2, as the identity and commuting unipotents give, is no
+       such rep: ending there would leave all those keys to be rewritten.
+       A key alone in its group is its own block, with no rewrite; only
+       the keys that share a group are rewritten to their R_min keys, and
+       each is labelled with its block's first position.
        At rank 2 a key first takes the lower position of its reversal
        orbit, and only orbits that share a group with another orbit are
        rewritten, once per orbit.  (A, B) -> (A^-1, B^-1) fixes t1, t2 and
@@ -439,14 +442,17 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     rw.check(set().union(*keys))  # before any key reaches a rep or the memo
     rng = random.Random(seed)
     drawn = 0
-    # 1. group memo keys by |tr| until a rep splits no group
+    # 1. group memo keys by |tr| until a rep splits no group; a rep that
+    # gives every live key |tr| 2 tells none apart and does not end it
     group = [0] * len(keys)
     live, split = _colliding(range(len(keys)), group), True
     program = sg.compile_classes(first.values())
     while live and split and drawn < n_reps:
         traces = program.traces(random_exact_rep(m, rng))
         drawn += 1
-        live, split = _split(live, group, [traces[i] for i in live])
+        traces = [traces[i] for i in live]
+        if any(abs(t) != 2 for t in traces):
+            live, split = _split(live, group, traces)
     del program  # the rewrites below grow the memo; free the tree first
     # a key's label is the position of the first key of its block, so an
     # R_min key is held once per block, not once per key

@@ -631,6 +631,18 @@ def test_rmin_pairs_rewrites_only_keys_no_rep_told_apart(monkeypatch, m, maxlen,
     assert len(characters._rewriters[m].memo) <= most
 
 
+# the first rep of these seeds gives every class |tr| 2; ending the first
+# phase there rewrote 1792 memo keys at (2,9) and 1754 at (3,6)
+@pytest.mark.parametrize("m,maxlen,seed,most", [(2, 9, 3, 100), (2, 9, 8, 100), (3, 6, 50, 400)])
+def test_a_rep_that_tells_no_key_apart_leaves_the_keys_grouped(monkeypatch, m, maxlen, seed, most):
+    classes = sg.enumerate_classes(sg.Presentation.free(m), maxlen)
+    rep = random_exact_rep(m, random.Random(seed))
+    assert {abs(t) for t in sg.compile_classes(classes).traces(rep)} == {2}
+    monkeypatch.setattr(characters, "_rewriters", {})
+    assert len(rmin_pairs(classes, m, seed=seed)[0]) == {2: 1097, 3: 1699}[m]
+    assert len(characters._rewriters[m].memo) <= most
+
+
 def test_later_reps_compile_only_the_labels_that_still_agree(monkeypatch):
     # the first rep runs one program of every memo key; each later rep
     # compiles the first classes of the labels no rep has told apart yet
