@@ -393,6 +393,23 @@ def _split(live, group, traces) -> tuple[list, bool]:
     return _colliding(live, group), len(ids) > len({g for g, _ in ids})
 
 
+def _class_at(w: sg.Word, pos: dict, letters):
+    """pos[r] for the first rotation r of w that starts at w's least letter
+    (the first of letters, 1, -1, 2, -2, ..., in w) and is a key of pos, or
+    None.  A least rotation starts at a least letter, so when pos is keyed
+    by least rotations this is the position of w's class."""
+    for lo in letters:
+        if lo in w:
+            break
+    k = -1
+    for _ in range(w.count(lo)):
+        k = w.index(lo, k + 1)
+        hit = pos.get(w[k:] + w[:k])
+        if hit is not None:
+            return hit
+    return None
+
+
 def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     """Partition classes by provable R_min equality; flag numeric-only
     coincidences (equal |tr| at every sampled rep, distinct as polynomials).
@@ -423,21 +440,38 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     neither the partition nor the flags depend on when a rep is drawn.
     Blocks come in first-seen order.
 
-    Each class key's word must be a cyclically reduced least rotation, as
-    enumerate_classes and canonical_class make it, since it is taken as
-    its own memo key; a class such as ConjClassKey((2, 1)) ends in a
-    RuntimeError from the rewriter once it is rewritten.  A class and its
-    inverse share a memo key, so their polynomial is found once."""
+    Contract: each class word must be its class's cyclically reduced least
+    rotation, as enumerate_classes and canonical_class make it; checking it
+    would cost the rotation per class that the lookups avoid.  A class
+    with fewer than half its letters inverse is its own memo key; other
+    classes find their inverse class, and rank-2 keys their reverse class,
+    by _class_at in a word -> position dict of the list, and a class whose
+    inverse class is missing is keyed by rotating its inverse.  So a bad
+    key such as ConjClassKey((2, 1)) is merged with its reverse (1, 2) at
+    rank 2 and ends in a RuntimeError from the rewriter at rank 3.  A
+    class and its inverse share a memo key, found once."""
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     rw = _rewriter(m)
-    keyed = []  # (memo key, class) of each class
+    classes = list(classes)
+    words = [cls.word for cls in classes]
+    pos = dict(zip(words, range(len(words))))  # class word -> position
+    letters = [x for k in range(1, m + 1) for x in (k, -k)]
+    negs = letters[1::2]
+    keyed = []  # memo key of each class
     first: dict[sg.Word, object] = {}  # memo key -> its first class
-    for cls in classes:
-        key = _class_trace_key(cls.word)
+    for w, cls in zip(words, classes):
+        key = w
+        neg = sum(map(w.count, negs))
+        if 2 * neg >= len(w):  # the key may be the inverse class's word
+            j = _class_at(sg.invert(w), pos, letters)
+            if j is None:
+                key = _class_trace_key(w)
+            elif 2 * neg > len(w) or sg.letter_code(words[j]) < sg.letter_code(w):
+                key = words[j]
         if key not in first:
             first[key] = cls
-        keyed.append((key, cls))
+        keyed.append(key)
     keys = list(first)
     rw.check(set().union(*keys))  # before any key reaches a rep or the memo
     rng = random.Random(seed)
@@ -459,10 +493,20 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     label = list(range(len(keys)))
     if m == 2:
         # a key and the key of its reverse share a block (step 1 above):
-        # both take the lower position, and only that one may be rewritten
+        # both take the lower position, and only that one may be rewritten.
+        # The reverse's key is its class's, or that class's inverse's; live
+        # ascends, so a key labelled lower was labelled by its partner
         at = {key: i for i, key in enumerate(keys)}
         for i in live:
-            label[i] = min(i, at.get(_class_trace_key(sg.least_rotation(keys[i][::-1])), i))
+            if label[i] < i:
+                continue
+            rev = keys[i][::-1]
+            j = _class_at(rev, pos, letters)
+            if j is None:
+                j = _class_at(sg.invert(rev), pos, letters)
+            if j is not None:
+                k = at[keyed[j]]
+                label[k] = label[i] = min(i, k)
     label_at: dict[tuple, int] = {}  # R_min key -> label
     for i in _colliding([i for i in live if label[i] == i], group):
         label[i] = label_at.setdefault(rmin_key(rw.keyed(keys[i])), i)
@@ -483,7 +527,7 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     # classes grouped by label; labels ascend, as blocks come first-seen
     blocks: dict[int, list] = {}
     block_of = {key: blocks.setdefault(at, []) for key, at in zip(keys, label)}
-    for key, cls in keyed:
+    for key, cls in zip(keyed, classes):
         block_of[key].append(cls)
     return [tuple(v) for v in blocks.values()], flagged
 

@@ -11,6 +11,7 @@ from speclab.characters import (
     RminVerdict,
     TracePoly,
     _canonical_trace_key,
+    _class_at,
     _class_trace_key,
     _decreases,
     _Rewriter,
@@ -449,6 +450,52 @@ def test_cold_partition_searches_few_rotations(monkeypatch):
     assert len(calls) <= 1200
 
 
+# 1290, 3441 and 2266 when every class and every reversed memo key was
+# rotated; what is left comes from the rewriter
+@pytest.mark.parametrize("m,maxlen,most", [(2, 8, 0), (2, 9, 150), (3, 6, 250)])
+def test_cold_rmin_pairs_finds_inverses_and_reverses_without_rotating(monkeypatch, m, maxlen, most):
+    classes = sg.enumerate_classes(sg.Presentation.free(m), maxlen)
+    calls = []
+    real = sg.least_rotation
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(characters, "_rewriters", {})
+    monkeypatch.setattr(sg, "least_rotation", counted)
+    rmin_pairs(classes, m, seed=1)
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("m,maxlen", [(2, 6), (3, 4)])
+def test_class_at_finds_every_rotation_of_a_class(m, maxlen):
+    classes = sg.enumerate_classes(sg.Presentation.free(m), maxlen)
+    pos = {k.word: i for i, k in enumerate(classes)}
+    letters = [x for k in range(1, m + 1) for x in (k, -k)]
+    for i, k in enumerate(classes):
+        w = k.word
+        for r in range(len(w)):
+            assert _class_at(w[r:] + w[:r], pos, letters) == i, (k, r)
+    # a class that is not in the list
+    last = classes[-1].word
+    del pos[last]
+    assert _class_at(last[1:] + last[:1], pos, letters) is None
+
+
+def test_class_at_tries_each_rotation_at_the_least_letter():
+    letters = [1, -1, 2, -2]
+    # the least letter -1 occurs only inverted, twice; the first rotation
+    # that starts at it is not the class word, the second is
+    pos = {(-1, 2, -1, -2): 0, (1, 1, 2, 1, -2): 1}
+    assert _class_at((-1, -2, -1, 2), pos, letters) == 0
+    assert _class_at((2, -1, -2, -1), pos, letters) == 0
+    # the least letter 1 occurs three times, twice in a row
+    assert _class_at((1, -2, 1, 1, 2), pos, letters) == 1
+    assert _class_at((2, 1, -2, 1, 1), pos, letters) == 1
+    assert _class_at((1, 2, -1, -2), pos, letters) is None
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("word", [(1, 3), (3,), (1, 0)])
 def test_rmin_rejects_letters_beyond_rank(monkeypatch, warm, word):
@@ -609,6 +656,8 @@ def test_rmin_pairs_matches_rewrite_first_oracle(monkeypatch, m, maxlen):
     lists = _class_lists(m, maxlen)
     lists["empty"] = []
     lists["single"] = lists["sorted"][:1]
+    # classes given twice share their memo key with their first copy
+    lists["repeated"] = lists["shuffled"] + random.Random(maxlen).sample(lists["shuffled"], 40)
     if m == 3:
         lists["f5"] = [sg.canonical_class(w) for pair in F5_PAIRS for w in _f5_words(pair)]
     for name, classes in lists.items():
