@@ -252,17 +252,7 @@ class _Rewriter:
                 _add_shifted(out, self._child(w, head + (i,) + tail), -1)
                 return TracePoly(out)
 
-        # 2. eliminate cyclically adjacent squares: tr(s s V) = tr(s) tr(s V) - tr(V)
-        for k in range(n):
-            if w[k] == w[(k + 1) % n]:
-                i = w[k]
-                rot = w[k:] + w[:k]  # square in front, remainder follows
-                V = rot[2:]
-                _add_shifted(out, self._child(w, (i,) + V), 1, _var(1 << (i - 1)))
-                _add_shifted(out, self._child(w, V), -1)
-                return TracePoly(out)
-
-        # 3. split a repeated letter: tr(s U s V) = tr(sU) tr(sV) - tr(U V^-1)
+        # 2. split a repeated letter: tr(s U s V) = tr(sU) tr(sV) - tr(V U^-1)
         positions: dict[int, int] = {}
         for k in range(n):
             i = w[k]
@@ -279,11 +269,11 @@ class _Rewriter:
                     for m2, c2 in right.items():
                         key = m1 + m2
                         out[key] = get(key, 0) + c1 * c2
-                _add_shifted(out, self._child(w, U + sg.invert(V)), -1)
+                _add_shifted(out, self._child(w, V + sg.invert(U)), -1)
                 return TracePoly(out)
             positions[i] = k
 
-        # 4. distinct positive letters: sort toward the ascending basis word
+        # 3. distinct positive letters: sort toward the ascending basis word
         # (w is a memo key, hence already its own least rotation)
         descent = None
         for j in range(len(w) - 1):

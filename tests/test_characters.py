@@ -99,11 +99,43 @@ def test_degree_bound():
 
 def test_soundness_random_words_exact():
     rng = random.Random(4)
-    for m in (2, 3):
+    for m in (2, 3, 4):
         for _ in range(60):
             w = _rand_word(rng, m, rng.randint(1, 10))
             rep = random_exact_rep(m, rng)
             assert trace_poly(w, m).evaluate(character_values(rep, m)) == sg.evaluate(w, rep).tr()
+
+
+def test_soundness_rank4_squares_exact():
+    # the repeated-letter rule splits a cyclically adjacent square with U
+    # empty; every such class at (4,6) evaluates exactly at two reps
+    rng = random.Random(6)
+    reps = [random_exact_rep(4, rng) for _ in range(2)]
+    chars = [character_values(rep, 4) for rep in reps]
+    classes = sg.enumerate_classes(sg.Presentation.free(4), 6)
+    squares = [k.word for k in classes if any(x == k.word[i - 1] for i, x in enumerate(k.word))]
+    assert squares
+    for w in squares:
+        p = trace_poly(w, 4)
+        for rep, cv in zip(reps, chars):
+            assert p.evaluate(cv) == sg.evaluate(w, rep).tr(), w
+
+
+# sha256 of every class polynomial's text: the rewrite rules' order only
+# shows from rank 4, length 6 on, so these texts do not depend on it
+@pytest.mark.parametrize(
+    "m,maxlen,digest",
+    [
+        (2, 9, "cf186ab5b9534030e0d3c1a5bfc8dae34d55c7cf4029619ba9b3bffcb813985c"),
+        (3, 6, "2f27f67d82cb93b448b10fadf6e0859272caf2cb555b84f412e13ad78a4db008"),
+        (4, 5, "eeab425866e473af202ca132ef1e158f0dedb0ef84f0b54bb0456f35cd5c3e9d"),
+        (5, 4, "73975793cb79510ddb5768a30e878e624b7ea4507fb62dec9850a5c75806a5fa"),
+    ],
+)
+def test_class_polynomial_text_digest(m, maxlen, digest):
+    classes = sg.enumerate_classes(sg.Presentation.free(m), maxlen)
+    text = "".join(trace_poly(k.word, m).text() + "\n" for k in classes)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_character_values_cover_basis():
@@ -451,8 +483,10 @@ def test_cold_partition_searches_few_rotations(monkeypatch):
 
 
 # 1290, 3441 and 2266 when every class and every reversed memo key was
-# rotated; what is left comes from the rewriter
-@pytest.mark.parametrize("m,maxlen,most", [(2, 8, 0), (2, 9, 150), (3, 6, 250)])
+# rotated; what is left comes from the rewriter (107 and 152 at seed 1):
+# for a square the repeated-letter rule's third child V U^-1 is V itself,
+# a memo key that is looked up without a rotation
+@pytest.mark.parametrize("m,maxlen,most", [(2, 8, 0), (2, 9, 110), (3, 6, 160)])
 def test_cold_rmin_pairs_finds_inverses_and_reverses_without_rotating(monkeypatch, m, maxlen, most):
     classes = sg.enumerate_classes(sg.Presentation.free(m), maxlen)
     calls = []

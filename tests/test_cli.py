@@ -461,12 +461,12 @@ GOLDEN_STDOUT = [
         ["tracepoly", "--rank", "3", "--word", "abcabc"],
         "2418fae9d147ae74aa7b634472a325b33b07544e6967d760477a477a48016f7a",
     ),
-    # rank-4 polynomials depend on the order of the rewrite rules: without the
-    # adjacent-squares rule this word's polynomial changes, though its value
-    # at every rep does not
+    # rank-4 polynomial text depends on the order of the three rewrite rules
+    # (inverse letter, repeated letter, product rule): another order changes
+    # this word's polynomial, though not its value at any rep
     (
         ["tracepoly", "--rank", "4", "--word", "abcdbb"],
-        "df64a1c64d2638535e999e661e2b904e028d19505ae914a553d8fdfc73b9e331",
+        "1b229a2120f1f1cfdbba2e0e08a852df7de9dfba9506e0c7cab59d5aebd2e48b",
     ),
     (
         ["rmin", "--seed", "1", "ab", "ba", "aB"],
