@@ -16,8 +16,10 @@ and `recover_cocycle_from_C` take BoundaryPoints and wrap the raw forms; the
 last three raise CoincidentPoints when two of their points, or two images,
 are closer than SEPARATION_FLOOR.  `run_all_checks` calls the raw forms
 directly, which test no floor: its points are drawn more than 1e-3 apart and
-it rejects images closer than 1e-5.  It draws its words with the same random
-bits as `randint`/`choice`.
+it rejects images closer than 1e-5.  Both tests, and the floor, read the least
+gap of all pairs off the sorted neighbours and the wrap arc (`_least_gap`).
+It draws its words with the same random bits as `randint`/`choice`, reading
+each letter from a table of all the draws of its bit width (`_word_drawer`).
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from functools import cache, partial
-from itertools import combinations
+from functools import cache
 
 from . import surface_group as sg
 from .mobius import (
@@ -81,25 +82,39 @@ def _pairing_defect(q, x, y, gx, gy) -> float:
     return abs(lhs - rhs)
 
 
-def _h(x, y, z):
-    return _cross(x, y) + _cross(x, z) - _cross(y, z)
-
-
 def _recovered(x, y, z, gx, gy, gz) -> float:
-    return 0.5 * (_h(gx, gy, gz) - _h(x, y, z))
+    return 0.5 * (
+        (_cross(gx, gy) + _cross(gx, gz) - _cross(gy, gz))
+        - (_cross(x, y) + _cross(x, z) - _cross(y, z))
+    )
 
 
 def _raw(xi: BoundaryPoint):
     return xi.theta, xi.u
 
 
+def _least_gap(thetas) -> float:
+    """The least angle_gap over all pairs of angles in [0, 2 pi] (inf for
+    fewer than two), bit for bit, from the sorted neighbours and the wrap arc
+    2 pi - (max - min): float subtraction is monotone, so no pair is closer."""
+    s = sorted(thetas)
+    if len(s) < 2:
+        return math.inf
+    least = TWO_PI - (s[-1] - s[0])
+    a = s[0]
+    for b in s[1:]:
+        if b - a < least:
+            least = b - a
+        a = b
+    return least
+
+
 def _separated(*pts) -> None:
     """CoincidentPoints unless every pair of raw points is at least
     SEPARATION_FLOOR apart."""
-    for x, y in combinations(pts, 2):
-        gap = angle_gap(x[0], y[0])
-        if gap < SEPARATION_FLOOR:
-            raise CoincidentPoints(f"separation {gap} below floor")
+    gap = _least_gap([t for t, _ in pts])
+    if gap < SEPARATION_FLOOR:
+        raise CoincidentPoints(f"separation {gap} below floor")
 
 
 def busemann(gamma: Mat2, xi: BoundaryPoint) -> float:
@@ -234,39 +249,40 @@ def _separated_points(rng: random.Random, count: int):
     rand = rng.random
     for _ in range(1000):
         thetas = [(TWO_PI * rand()) % TWO_PI for _ in range(count)]
-        if all(angle_gap(s, t) > 1e-3 for s, t in combinations(thetas, 2)):
+        if _least_gap(thetas) > 1e-3:
             return [(t, cmath.exp(1j * t)) for t in thetas]
     raise BoundaryError("could not draw separated points")
 
 
-def _draw_word(rng: random.Random, letters, max_len: int) -> tuple:
-    """A reduced word of rng.randint(1, max_len) letters, each
+def _word_drawer(rng: random.Random, letters):
+    """draw(max_len): a reduced word of rng.randint(1, max_len) letters, each
     rng.choice(letters) and redrawn when it cancels the one before.
 
     randint and choice both draw through CPython's Random._randbelow(n):
     k = n.bit_length() bits from getrandbits, drawn again while >= n.  That
     is done here inline, so the same bits are taken as by randint and choice,
-    without their Python-level calls."""
+    without their Python-level calls.  A letter is read from a table of all
+    2^k draws, padded with 0, which is no letter, so a draw of 0 is redrawn."""
     getrandbits = rng.getrandbits
-    k = max_len.bit_length()
-    last = getrandbits(k)  # the word's length minus one
-    while last >= max_len:
-        last = getrandbits(k)
-    n = len(letters)
-    k = n.bit_length()
-    w = []
-    x = 0  # no letter is -0, so the first draw never cancels
-    while True:
-        i = getrandbits(k)
-        if i >= n:
-            continue
-        y = letters[i]
-        if y == -x:
-            continue
-        w.append(y)
-        if len(w) > last:
-            return tuple(w)
-        x = y
+    k = len(letters).bit_length()
+    table = [*letters, *[0] * ((1 << k) - len(letters))]
+
+    def draw(max_len: int) -> tuple:
+        j = max_len.bit_length()
+        last = getrandbits(j)  # the word's length minus one
+        while last >= max_len:
+            last = getrandbits(j)
+        w = []
+        back = 0  # the letter that would cancel the one before
+        while True:
+            y = table[getrandbits(k)]
+            if y and y != back:
+                w.append(y)
+                if len(w) > last:
+                    return tuple(w)
+                back = -y
+
+    return draw
 
 
 def _worst(check: str, samples: int, tolerance: float, attempt) -> CheckReport:
@@ -317,7 +333,7 @@ def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]
         m = sg.evaluate(w, rep)
         return m, classify(m) is IsometryClass.HYPERBOLIC, m.disk
 
-    word = partial(_draw_word, rng, letters)
+    word = _word_drawer(rng, letters)
 
     def hyperbolic(max_len: int) -> tuple:
         for _ in range(100):
@@ -370,7 +386,7 @@ def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]
         q = element(word(2))[2]
         pts = _separated_points(rng, 5)
         imgs = [circle_image(q, u) for _, u in pts]
-        if any(angle_gap(s[0], t[0]) < 1e-5 for s, t in combinations(imgs, 2)):
+        if _least_gap([t for t, _ in imgs]) < 1e-5:
             return None
         x, y, z, y2, z2 = pts
         gx, gy, gz, gy2, gz2 = imgs

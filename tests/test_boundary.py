@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -271,6 +272,8 @@ GOLDEN_REPORTS = [
     (547756574, 2, 1000, "de2cf5b80d871e56ad2353ecec72625fd56405d18a50ca54fca697769c2d1d5a"),
     (253228484, 2, 1000, "c921253f2032b1d3e7ed42df9d37a6432feee966844d6a4293a2941d36cb0384"),
     (3, 3, 300, "3e7a1f457859fb335f3c1510c957359be35fe415e0f57fb73365793b6bbc10ab"),
+    # rank 4: eight letters in a 16-slot drawer table, half of it padding
+    (4, 4, 300, "d6a7dddb4783e91c5cb27951a866d950d1a74853dc42fac0e699a4b219c6694f"),
 ]
 
 
@@ -359,9 +362,45 @@ def _reference_word(rng, letters, max_len):
 def test_draw_word_takes_the_bits_of_randint_and_choice(rank, max_len):
     letters = [*range(1, rank + 1), *range(-1, -rank - 1, -1)]
     ours, theirs = random.Random(100 * rank + max_len), random.Random(100 * rank + max_len)
-    drawn = [boundary._draw_word(ours, letters, max_len) for _ in range(10**4)]
+    draw = boundary._word_drawer(ours, letters)
+    drawn = [draw(max_len) for _ in range(10**4)]
     assert drawn == [_reference_word(theirs, letters, max_len) for _ in range(10**4)]
     assert ours.getstate() == theirs.getstate()
+
+
+def _least_gap_sets():
+    rng = random.Random(32)
+    two_pi = 2.0 * math.pi
+    for n in (0, 1, 2, 3, 5, 8):
+        for _ in range(200):
+            yield [(two_pi * rng.random()) % two_pi for _ in range(n)]
+    for n in (2, 3, 5, 8):
+        for _ in range(200):
+            # clustered within 1e-4, somewhere on the circle or at 0
+            c = rng.choice([0.0, two_pi * rng.random()])
+            yield [(c + 1e-4 * rng.random()) % two_pi for _ in range(n)]
+            # straddling 0 / 2 pi
+            yield [rng.uniform(-2e-3, 2e-3) % two_pi for _ in range(n)]
+            yield [rng.choice([rng.uniform(0, 1e-3), two_pi - rng.uniform(0, 1e-3)]) for _ in range(n)]
+            # repeated angles
+            base = [(two_pi * rng.random()) % two_pi for _ in range(n - 1)]
+            yield base + [rng.choice(base)]
+    yield [0.0, two_pi - 1e-12, math.pi]
+    yield [0.0, math.pi, math.nextafter(math.pi, 4.0)]
+    yield [1.0, 1.0]
+    # the top of the range: an image angle reduced by % 2 pi can be 2 pi itself
+    yield [0.0, two_pi]
+    yield [1e-7, two_pi, 3.0]
+
+
+def test_least_gap_is_the_least_angle_gap_of_all_pairs():
+    for thetas in _least_gap_sets():
+        pairs = [angle_gap(a, b) for a, b in combinations(thetas, 2)]
+        oracle = min(pairs, default=math.inf)
+        least = boundary._least_gap(thetas)
+        assert least == oracle, thetas
+        assert (least > 1e-3) == all(g > 1e-3 for g in pairs)
+        assert (least < 1e-5) == any(g < 1e-5 for g in pairs)
 
 
 def _reference_checks(rep, seed, samples):
