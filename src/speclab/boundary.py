@@ -151,21 +151,23 @@ def recover_cocycle_from_C(
     return _recovered(*pts, *imgs)
 
 
-def _hyperbolic_fixed_points(gamma: Mat2):
+def _poles(eta: Mat2, gamma: Mat2):
+    """(gamma+, gamma-, eta gamma+), each pair SEPARATION_FLOOR apart or more."""
     try:
-        return gamma.fixed
+        gp, gm = gamma.fixed
     except NotHyperbolic:
         raise DegenerateConfiguration("gamma must be hyperbolic") from None
+    egp = act(eta, gp)
+    if egp.angle_dist(gm) < SEPARATION_FLOOR:
+        raise DegenerateConfiguration("eta gamma+ coincides with gamma-")
+    return gp, gm, egp
 
 
 def step1_identity_check(phi, eta: Mat2, gamma: Mat2) -> float:
     """For a coboundary delta = d(phi), check
     delta(eta, gamma+) = f(eta gamma+, gamma-) - f(gamma+, gamma-) with
     f(x, y) = phi(x) + phi(y)."""
-    gp, gm = _hyperbolic_fixed_points(gamma)
-    egp = act(eta, gp)
-    if egp.angle_dist(gm) < SEPARATION_FLOOR:
-        raise DegenerateConfiguration("eta gamma+ coincides with gamma-")
+    gp, gm, egp = _poles(eta, gamma)
 
     def f(a, b):
         return phi(a) + phi(b)
@@ -182,10 +184,7 @@ def northsouth_limits(eta: Mat2, gamma: Mat2, n_max: int = 30, n_min: int = 1):
     always the same left-to-right product from n = 1, so a row does not
     depend on n_min.
     """
-    gp, gm = _hyperbolic_fixed_points(gamma)
-    target_plus = act(eta, gp)
-    if target_plus.angle_dist(gm) < SEPARATION_FLOOR:
-        raise DegenerateConfiguration("eta gamma+ coincides with gamma-")
+    _, gm, target_plus = _poles(eta, gamma)
     rows = []
     power = Mat2(1, 0, 0, 1)
     for n in range(1, n_max + 1):

@@ -11,6 +11,7 @@ by the least rotation of a cyclically reduced word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .mobius import Mat2
@@ -158,76 +159,70 @@ def _necklaces(rank: int, maxlen: int, table=None):
     sorted by (length, letter order); with a `table`, also each key's trace.
 
     These are the necklaces over the 2m letters with no letter next to its
-    inverse, wrap-around included.  The FKM prenecklace recursion (Cattell,
-    Ruskey, Sawada, Serra & Miers, J. Algorithms 37, 2000) runs over letter
+    inverse, wrap-around included.  One depth-first walk of the FKM
+    prenecklace tree (Cattell, Ruskey, Sawada, Serra & Miers, J. Algorithms
+    37, 2000) to depth maxlen lists every length: it runs over letter
     indices in letter order, is cut wherever a letter follows its inverse,
     and keeps a prenecklace of length n whose longest Lyndon prefix p
     divides n and whose last letter is not the inverse of its first.
 
-    The last letter is chosen inside its parent call, with no further
-    recursion level: repeating a[n - 1 - p] keeps the Lyndon prefix p, so
-    it is allowed only when p divides n, and any larger letter makes the
-    whole word its Lyndon prefix, which always divides n.  Length 1 is the
-    2m one-letter words.
+    Each call keeps the children of its prefix a[:t] that are keys: the
+    child a[t] = a[t - p] keeps the Lyndon prefix p, so it is a key only
+    when p divides t + 1, and any larger letter makes the whole child its
+    own Lyndon prefix.  Keys go into one list per length, joined shortest
+    first; a depth-first walk meets the words of one length in letter
+    order.
 
     `table` is `_letter_table(rep)`, read as table[x] once per letter
-    index.  Each call then extends its parent's prefix product by one
-    letter, one 2x2 multiply per walk node, left to right from the identity
-    (1, 0, 0, 1) with the sums of Mat2.__mul__; each leaf's trace, prefix
-    times last letter, is (A P + B R) + (C Q + D S).  That is `a + d` of
-    the chain `evaluate` forms, so every trace is bit-identical to it.
-    Returns (keys, traces); traces is None without `table`."""
+    index.  Each call extends its prefix's product by one letter for each
+    child it visits, one 2x2 multiply per prenecklace shorter than maxlen,
+    left to right from the identity (1, 0, 0, 1) with the sums of
+    Mat2.__mul__; each key's trace, prefix times last letter, is
+    (A P + B R) + (C Q + D S).  That is `a + d` of the chain `evaluate`
+    forms, so every trace is bit-identical to it.  Returns (keys, traces);
+    traces is None without `table`."""
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     letters = [x for k in range(1, rank + 1) for x in (k, -k)]  # index j ^ 1 is the inverse
     k = len(letters)
     one = [(x,) for x in letters]
     new = tuple.__new__  # ConjClassKey(w) without its Python-level __new__
-    keys: list[ConjClassKey] = []
+    keys = [[] for _ in range(maxlen)]  # keys[t] holds the keys of length t + 1, as traces[t] does
     gens = None if table is None else [table[x] for x in letters]
-    traces = None if table is None else []
+    traces = None if table is None else [[] for _ in range(maxlen)]
+    a = [0] * maxlen
 
-    def leaves(start: int, cut: int, first: int, word: Word, m) -> None:
-        """Keep word + letter j for every j >= start other than cut and
-        first; m is the product of word, or None."""
+    def visit(t: int, p: int, word: Word, m) -> None:
+        # word is a[:t], p its longest Lyndon prefix, m its product or None;
+        # the root has no letter to repeat, cut or wrap round to
+        lo, cut, first = (a[t - p], a[t - 1] ^ 1, a[0] ^ 1) if t else (0, -1, -1)
+        keys_t = keys[t]
         if m is not None:
             A, B, C, D = m
-        for j in range(start, k):
+            traces_t = traces[t]
+        for j in range(lo if (t + 1) % p == 0 else lo + 1, k):
             if j != cut and j != first:
-                keys.append(new(ConjClassKey, (word + one[j],)))
+                keys_t.append(new(ConjClassKey, (word + one[j],)))
                 if m is not None:
                     P, Q, R, S = gens[j]
-                    traces.append((A * P + B * R) + (C * Q + D * S))
-
-    def rec(t: int, p: int, word: Word, m) -> None:
-        # word and m are the parent's prefix a[:t - 1]; extend them by a[t - 1]
-        j = a[t - 1]
-        word += one[j]
-        if m is not None:
-            A, B, C, D = m
-            P, Q, R, S = gens[j]
-            m = A * P + B * R, A * Q + B * S, C * P + D * R, C * Q + D * S
-        lo, cut = a[t - p], j ^ 1
-        if t == last:
-            leaves(lo if n % p == 0 else lo + 1, cut, a[0] ^ 1, word, m)
+                    traces_t.append((A * P + B * R) + (C * Q + D * S))
+        if t + 1 == maxlen:
             return
+        child = None
         for j in range(lo, k):
             if j != cut:
                 a[t] = j
-                rec(t + 1, p if j == lo else t + 1, word, m)
+                if m is not None:
+                    P, Q, R, S = gens[j]
+                    child = A * P + B * R, A * Q + B * S, C * P + D * R, C * Q + D * S
+                visit(t + 1, p if j == lo else t + 1, word + one[j], child)
 
-    identity = None if gens is None else (1, 0, 0, 1)
-    for n in range(1, maxlen + 1):
-        a = [0] * n
-        last = n - 1
-        if not last:
-            leaves(0, -1, -1, (), identity)  # no letter is cut from a one-letter word
-            continue
-        for j in range(k):
-            a[0] = j
-            rec(1, 1, (), identity)
-    del rec  # rec's cell holds rec: break that cycle, or it keeps the walk's lists until a gc
-    return keys, traces
+    visit(0, 1, (), None if gens is None else (1, 0, 0, 1))
+    del visit  # visit's cell holds visit: break that cycle, or it keeps the walk's lists until a gc
+    for runs in keys, traces:
+        if runs is not None:  # shortest first, into the last and longest list, which is not copied
+            runs[-1][:0] = chain.from_iterable(runs[:-1])
+    return keys[-1], None if traces is None else traces[-1]
 
 
 def enumerate_classes(p: Presentation, maxlen: int) -> list[ConjClassKey]:
@@ -238,9 +233,10 @@ def enumerate_classes(p: Presentation, maxlen: int) -> list[ConjClassKey]:
 
 def class_traces(rep, maxlen: int) -> tuple[list[ConjClassKey], list]:
     """enumerate_classes(rep.presentation, maxlen) and the trace a + d of
-    each class word's product, from one walk of the necklace tree; each
-    trace is bit-identical to `a + d` from `evaluate` and to the trace a
-    `ClassProgram` reads."""
+    each class word's product, from one walk of the prenecklace tree to
+    depth maxlen: one 2x2 multiply per prenecklace shorter than maxlen and
+    4 scalar products per class.  Each trace is bit-identical to `a + d`
+    from `evaluate` and to the trace a `ClassProgram` reads."""
     return _necklaces(rep.presentation.free_rank, maxlen, _letter_table(rep))
 
 
@@ -273,7 +269,8 @@ class ClassProgram(NamedTuple):
     This serves a class list run at many reps: a scan compiles its shared
     classes once for all trials, and `rmin_pairs` its fingerprint words.
     The spectrum of all classes up to a length at one rep takes its traces
-    from the necklace walk instead (`class_traces`).
+    from the prenecklace walk instead (`class_traces`), which builds no
+    tree and multiplies once per prenecklace it passes.
 
     The program is a prefix tree over the whole list: node 0 is the empty
     prefix, and node i > 0 is (parent node, letter), one node per distinct

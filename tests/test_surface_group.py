@@ -117,7 +117,7 @@ def _phi(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
-@pytest.mark.parametrize("m,maxlen", [(2, 10), (3, 7), (4, 5)])
+@pytest.mark.parametrize("m,maxlen", [(2, 10), (3, 7), (4, 5), (5, 4), (6, 3)])
 def test_enumerate_classes_closed_form_counts(m, maxlen):
     # necklace count: (1/n) sum_{d | n} phi(n/d) c_d, where
     # c_d = (2m-1)^d + 1 + (m-1)(1 + (-1)^d) counts cyclically reduced words
@@ -155,8 +155,9 @@ def _brute_force_ordered(p, maxlen):
 
 @pytest.mark.parametrize(
     "g,n,maxlen",
-    [(1, 1, 7), (1, 2, 5), (1, 3, 4), (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)],
-    ids=["m2", "m3", "m4", "m2-L1", "m2-L2", "m3-L1", "m3-L2"],
+    [(1, 1, 7), (1, 2, 5), (1, 3, 4), (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 4, 3),
+     (1, 1, 8)],
+    ids=["m2", "m3", "m4", "m2-L1", "m2-L2", "m3-L1", "m3-L2", "m5-L3", "m2-L8"],
 )
 @pytest.mark.parametrize("inverted", [False, True])
 def test_enumerate_classes_matches_brute_force_order(g, n, maxlen, inverted):
@@ -402,6 +403,30 @@ def test_evaluate_many_multiplies_once_per_letter_after_shared_prefix(monkeypatc
     assert len(prefixes) == 1028 and len(keys) == 1386
     assert _Counted.products == 8 * len(prefixes) + 4 * len(keys) == 13768
     assert out == program.traces(rep)
+
+
+def _prenecklaces(rank, n):
+    """Words of length n with no letter next to its inverse whose every
+    proper suffix is >= the prefix of its length, in letter_code order."""
+    letters = [x for k in range(1, rank + 1) for x in (k, -k)]
+    codes = map(letter_code, _reduced_words(letters, n))
+    return sum(all(c[i:] >= c[: n - i] for i in range(1, n)) for c in codes)
+
+
+@pytest.mark.parametrize("m,maxlen,nodes,products", [(2, 8, 1074, 14136), (3, 5, 322, 6048)])
+def test_class_traces_multiplies_once_per_prenecklace(monkeypatch, m, maxlen, nodes, products):
+    rep = schottky_sample(1, m)
+    counted = SurfaceRep(
+        rep.presentation, tuple(Mat2(*map(_Counted, g.entries())) for g in rep.matrices)
+    )
+    monkeypatch.setattr(_Counted, "products", 0)
+    keys, traces = class_traces(counted, maxlen)
+    # one walk for every length: one 2x2 multiply (8 scalar products) per
+    # prenecklace shorter than maxlen, and 4 scalar products per class for
+    # its trace; a walk per length would make 19792 at (2,8), 6992 at (3,5)
+    assert sum(_prenecklaces(m, n) for n in range(1, maxlen)) == nodes
+    assert _Counted.products == 8 * nodes + 4 * len(keys) == products
+    assert [t.x for t in traces] == compile_classes(keys).traces(rep)
 
 
 def test_word_text_roundtrip():
