@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import characters, surface_group as sg
@@ -72,8 +74,8 @@ class Pattern:
     """Partition of a class tuple into equal-length blocks.
 
     The blocks are kept flat, as positions into `classes`: `order` holds
-    every position once, block by block, and block k ends at `ends[k]`.
-    `blocks` names the same blocks by class key."""
+    every position once, block by block, and block k ends at `ends[k]`;
+    no block is empty.  `blocks` names the same blocks by class key."""
 
     classes: tuple  # of ConjClassKey
     order: array
@@ -81,11 +83,18 @@ class Pattern:
 
     @classmethod
     def from_blocks(cls, classes: tuple, blocks) -> "Pattern":
-        """A pattern from its blocks, each an iterable of class positions."""
+        """A pattern from its blocks, each an iterable of class positions.
+        ValueError unless every block is nonempty and the blocks hold each
+        position in range(len(classes)) exactly once."""
         order, ends = array("l"), array("l")
         for block in blocks:
+            start = len(order)
             order.extend(block)
+            if len(order) == start:
+                raise ValueError("a block is empty")
             ends.append(len(order))
+        if sorted(order) != list(range(len(classes))):
+            raise ValueError("the blocks do not hold each class position exactly once")
         return cls(classes, order, ends)
 
     @property
@@ -104,12 +113,19 @@ class Pattern:
         cs = self.classes
         return tuple(tuple(cs[i] for i in block) for block in self.position_blocks())
 
-    def labels(self) -> array:
-        """Block index of each class, by position."""
-        out = array("l", [0]) * len(self.classes)
-        for label, block in enumerate(self.position_blocks()):
-            for i in block:
-                out[i] = label
+    def labels(self) -> list:
+        """Block index of each class, by position; built on first use and
+        kept, so it is not to be changed."""
+        return self._labels
+
+    @cached_property
+    def _labels(self) -> list:
+        # one pass along order: no block is empty, so each end passed starts the next block
+        out, ends, label = [0] * len(self.classes), self.ends.tolist(), 0
+        for k, i in enumerate(self.order):
+            if k == ends[label]:
+                label += 1
+            out[i] = label
         return out
 
 
@@ -139,12 +155,19 @@ def _labels_along(p: Pattern, classes: tuple):
 
 def subrelation(p1: Pattern, p2: Pattern):
     """Does every p1 block sit inside a p2 block?  Violations are pairs that
-    p1 relates but p2 separates."""
+    p1 relates but p2 separates, block by block in p1's order.
+
+    p1 refines p2 exactly when each p1 block meets one p2 label, i.e. when
+    the positions give p1.n_blocks distinct (p1 label, p2 label) pairs; only
+    the p1 blocks that meet several p2 labels are walked for their pairs."""
     where = _labels_along(p2, p1.classes)
-    cs = p1.classes
+    pairs = set(zip(p1.labels(), where))
     violations = []
-    for block in p1.position_blocks():
-        if len(block) > 1 and len({where[i] for i in block}) > 1:
+    if len(pairs) > p1.n_blocks:
+        cs, order, ends = p1.classes, p1.order, p1.ends
+        meets = Counter(label for label, _ in pairs)
+        for b in sorted(label for label, n in meets.items() if n > 1):
+            block = order[ends[b - 1] if b else 0 : ends[b]]
             violations += [
                 (cs[i], cs[j]) for i, j in combinations(block, 2) if where[i] != where[j]
             ]

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -303,6 +304,36 @@ def test_pattern_blocks_name_positions():
     assert all(where[k] == i for i, b in enumerate(p.blocks) for k in b)
 
 
+
+def test_from_blocks_labels_each_position():
+    classes = tuple(sg.enumerate_classes(F2, 1))  # a, A, b, B
+    p = Pattern.from_blocks(classes, [[2, 0], [1, 3]])
+    assert p.labels() == [0, 1, 0, 1] and p.labels() is p.labels()
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[[0, 1], [1, 3]], [[0, 1], [3]], [[0, 1], [2, -1]], [[0, 1], [2, 3, 4]], [[0, 1], [], [2, 3]]],
+    ids=["overlapping", "missing", "negative", "past-the-end", "empty-block"],
+)
+def test_from_blocks_rejects_a_non_partition(blocks):
+    classes = tuple(sg.enumerate_classes(F2, 1))
+    with pytest.raises(ValueError):
+        Pattern.from_blocks(classes, blocks)
+
+
+def test_subrelation_forms_no_pairs_when_it_holds(monkeypatch):
+    def no_pairs(*args):
+        raise AssertionError("walked the pairs of a block that meets one label")
+
+    classes = tuple(sg.enumerate_classes(F2, 8))
+    pmin = rmin_pattern(classes, 2)
+    pg = pattern(spectrum(schottky_sample(1, 2), 8))
+    assert pg.classes == classes and pg.n_blocks == pmin.n_blocks
+    monkeypatch.setattr(sys.modules["speclab.spectrum"], "combinations", no_pairs)
+    assert subrelation(pmin, pg) == {"holds": True, "violations": []}
+
+
 def test_scan_generic_checks_rank_before_any_work(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated classes for a rank below 2")
@@ -346,6 +377,30 @@ def test_scan_generic_compiles_its_classes_once(monkeypatch):
     # each trial runs the one program; the arithmetic point is trial 0
     assert len(programs) == 1 and len(given) == len(recs) == 5 + 1
     assert all(program is programs[0] for program in given)
+
+
+
+def test_scan_generic_builds_rmin_labels_once(monkeypatch):
+    module = sys.modules["speclab.spectrum"]
+    real_rmin, real_build = module.rmin_pattern, Pattern._labels.func
+    pmins, built = [], []
+
+    def kept_rmin(classes, m):
+        pmins.append(real_rmin(classes, m))
+        return pmins[-1]
+
+    def counted_build(p):
+        built.append(p)
+        return real_build(p)
+
+    labels = functools.cached_property(counted_build)
+    labels.__set_name__(Pattern, "_labels")
+    monkeypatch.setattr(module, "rmin_pattern", kept_rmin)
+    monkeypatch.setattr(Pattern, "_labels", labels)
+    recs = list(scan_generic(1, 5, maxlen=4, include_arithmetic_point=True))
+    # R_min's labels once for the scan, then each trial's R_g labels once
+    assert len(pmins) == 1 and len(recs) == 5 + 1
+    assert sum(p is pmins[0] for p in built) == 1 and len(built) == 1 + len(recs)
 
 
 def test_subrelation_reflexive():
