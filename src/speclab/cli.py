@@ -13,12 +13,13 @@ import io
 import json
 import sys
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import attrgetter, sub
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import boundary, characters, fricke, surface_group as sg
-from .fricke import float_text
+from .fricke import FLOAT_SPEC, float_text
 from .mobius import EPS
 # NB: `speclab.spectrum` the attribute is the spectrum() function (it shadows
 # the submodule), so pull what we need from the submodule directly.
@@ -47,6 +48,14 @@ def _indented_list(items: list[str], indent: str) -> str:
         return "[]"
     inner = indent + "  "
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _word_texts(pres: sg.Presentation, classes):
+    """The texts of the classes' words, made as they are taken, with no
+    Python-level call per word.  Generator names are letters and digits, so
+    a text in double quotes is its JSON string."""
+    names = sg.letter_names(pres)
+    return map(" ".join, map(map, repeat(names.__getitem__), map(attrgetter("word"), classes)))
 
 
 def _out(args, text) -> None:
@@ -98,16 +107,16 @@ def cmd_sample(args) -> int:
 def cmd_spectrum(args) -> int:
     rep = _load_rep(args)
     s = length_spectrum(rep, args.maxlen)
-    rows = zip(s.classes, s.traces, s.lengths)
     if args.format == "csv":
-        _out(args, rows_to_csv(rows))
+        _out(args, rows_to_csv(zip(s.classes, s.traces, s.lengths)))
     else:
-        # each line is the text of json.dumps({"class", "length", "trace"}, sort_keys=True)
-        fmt = sg.word_formatter(rep.presentation)
-        _out(args, (
-            f'{{"class": {_json_str(fmt(key.word))}, "length": "{float_text(l)}", "trace": "{float_text(t)}"}}\n'
-            for key, t, l in rows
-        ))
+        # each line is the text of json.dumps({"class", "length", "trace"}, sort_keys=True);
+        # a rep file or a sample has float entries, so the numbers are floats
+        # and the template formats them as float_text does
+        num = "{:" + FLOAT_SPEC + "}"
+        row = ('{{"class": "{}", "length": "' + num + '", "trace": "' + num + '"}}\n').format
+        words = _word_texts(rep.presentation, s.classes)
+        _out(args, map(row, words, s.lengths, s.traces))
     return EXIT_OK
 
 
@@ -115,14 +124,16 @@ def cmd_pattern(args) -> int:
     rep = _load_rep(args)
     s = length_spectrum(rep, args.maxlen)
     p = length_pattern(s)
-    fmt = sg.word_formatter(rep.presentation)
-    cs = p.classes
+    words = _word_texts(rep.presentation, map(p.classes.__getitem__, p.order))
+    # block k is its words, taken in turn along order, laid out as
+    # _indented_list lays them out at indent "    "
+    sep = '",\n      "'
     blocks = [
-        _indented_list([_json_str(fmt(cs[i].word)) for i in block], "    ")
-        for block in p.position_blocks()
+        f'[\n      "{sep.join(islice(words, n))}"\n    ]'
+        for n in map(sub, p.ends, chain((0,), p.ends))
     ]
     digest = s.rep_digest
-    del s, p, cs  # the spectrum is freed before the output text is built
+    del s, p, words  # the spectrum is freed before the output text is built
     # the text of json.dumps({"blocks", "rep_digest", "tolerance"}, indent=2, sort_keys=True)
     _out(
         args,

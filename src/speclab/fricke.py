@@ -455,10 +455,14 @@ def punctured_torus_sample(seed: int) -> SurfaceRep:
 # Serialization.
 # ---------------------------------------------------------------------------
 
+# 17 significant digits, enough to read back the same double: the one
+# number format of rep files, spectrum rows and patterns
+FLOAT_SPEC = ".17g"
+
+
 def float_text(x) -> str:
-    """x as a float to 17 significant digits, enough to read back the same
-    double: the one number format of rep files, spectrum rows and patterns."""
-    return f"{float(x):.17g}"
+    """x as a float in the FLOAT_SPEC format."""
+    return f"{float(x):{FLOAT_SPEC}}"
 
 
 def rep_to_json(rep: SurfaceRep) -> str:

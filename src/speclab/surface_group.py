@@ -322,14 +322,21 @@ def compile_classes(classes) -> ClassProgram:
 
 # -- text serialization ------------------------------------------------------
 
-def word_formatter(p: Presentation):
-    """A function printing words of one presentation, with the letter ->
-    name table built once: +k prints as the k-th generator's name, -k in
-    upper case."""
+def letter_names(p: Presentation) -> dict[int, str]:
+    """The letter -> name table of p: +k names the k-th generator, -k the
+    same name in upper case.  A word's text is its letters' names joined by
+    spaces, `" ".join(map(names.__getitem__, w))`."""
     names = {}
     for k in range(1, p.num_generators + 1):
         names[k] = p.generator_name(k)
         names[-k] = names[k].upper()
+    return names
+
+
+def word_formatter(p: Presentation):
+    """A function printing words of one presentation, with the letter ->
+    name table built once."""
+    names = letter_names(p)
     return lambda w: " ".join(map(names.__getitem__, w))
 
 
