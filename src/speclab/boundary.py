@@ -20,6 +20,9 @@ it rejects images closer than 1e-5.  Both tests, and the floor, read the least
 gap of all pairs off the sorted neighbours and the wrap arc (`_least_gap`).
 It draws its words with the same random bits as `randint`/`choice`, reading
 each letter from a table of all the draws of its bit width (`_word_drawer`).
+B reads only the bottom row (q_c, q_d) of a disk matrix, so the cocycle draw
+builds no Mat2 for g1 g2: it forms the product's four entries inline and
+only that row of its disk matrix (`disk_row`).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from functools import cache
 
 from . import surface_group as sg
 from .mobius import (
+    CAYLEY_BOTTOM,
     TWO_PI,
     BoundaryPoint,
     IsometryClass,
@@ -43,7 +47,7 @@ from .mobius import (
     circle_derivative,
     circle_image,
     classify,
-    disk_matrix,
+    disk_row,
     fixed_points,
 )
 
@@ -66,7 +70,8 @@ class DegenerateConfiguration(BoundaryError):
 
 
 # Raw forms: a point is an (angle, unit complex) pair, an element its disk
-# matrix q (`Mat2.disk`).
+# matrix q (`Mat2.disk`), of which `_busemann` reads only the bottom row
+# q[2], q[3].
 
 def _busemann(q, u: complex) -> float:
     return -math.log(circle_derivative(q, u))
@@ -167,14 +172,11 @@ def _poles(eta: Mat2, gamma: Mat2):
 def step1_identity_check(phi, eta: Mat2, gamma: Mat2) -> float:
     """For a coboundary delta = d(phi), check
     delta(eta, gamma+) = f(eta gamma+, gamma-) - f(gamma+, gamma-) with
-    f(x, y) = phi(x) + phi(y)."""
+    f(x, y) = phi(x) + phi(y).  phi is called once at each of the three
+    points, so it must be a function of the point alone."""
     gp, gm, egp = _poles(eta, gamma)
-
-    def f(a, b):
-        return phi(a) + phi(b)
-
-    delta = phi(egp) - phi(gp)
-    return abs(delta - (f(egp, gm) - f(gp, gm)))
+    at_egp, at_gp, at_gm = phi(egp), phi(gp), phi(gm)
+    return abs((at_egp - at_gp) - ((at_egp + at_gm) - (at_gp + at_gm)))
 
 
 def northsouth_limits(eta: Mat2, gamma: Mat2, n_max: int = 30, n_min: int = 1):
@@ -371,8 +373,17 @@ def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]
         # one point has no gap to test: the draw of _separated_points(rng, 1)
         u = cmath.exp(1j * ((TWO_PI * rng.random()) % TWO_PI))
         gu = circle_image(q2, u)[1]
-        # the product acts once, so its disk matrix is not kept on it
-        return abs(_busemann(disk_matrix(g1 * g2), u) - _busemann(q1, gu) - _busemann(q2, u))
+        # B(g1 g2, u) reads only the bottom row of the product's disk matrix,
+        # so no Mat2 is built: the product's entries are the sums of
+        # Mat2.__mul__, and the top row, which is never read, is left out
+        qc, qd = disk_row(
+            CAYLEY_BOTTOM,
+            float(g1.a * g2.a + g1.b * g2.c),
+            float(g1.a * g2.b + g1.b * g2.d),
+            float(g1.c * g2.a + g1.d * g2.c),
+            float(g1.c * g2.b + g1.d * g2.d),
+        )
+        return abs(_busemann((None, None, qc, qd), u) - _busemann(q1, gu) - _busemann(q2, u))
 
     def pairing():
         # image separation enforced by rejection

@@ -202,21 +202,26 @@ _C_B = -1.0j / (1.0 + 1.0j)
 _C_C = 1.0 / (1.0 + 1.0j)
 _C_D = 1.0j / (1.0 + 1.0j)
 
+# Its rows, as `disk_row` takes them.
+CAYLEY_TOP = (_C_A, _C_B)
+CAYLEY_BOTTOM = (_C_C, _C_D)
+
+
+def disk_row(row, a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
+    """One row of the disk matrix of the real matrix (a b / c d): the Cayley
+    row `row` (CAYLEY_TOP or CAYLEY_BOTTOM) times M times C^-1."""
+    s, t = row
+    # row * M
+    p = s * a + t * c
+    r = s * b + t * d
+    # times C^-1 = (d, -b; -c, a) of the Cayley matrix
+    return p * _C_D + r * (-_C_C), p * (-_C_B) + r * _C_A
+
 
 def disk_matrix(m: Mat2) -> tuple[complex, complex, complex, complex]:
     """Conjugate a real matrix into the disk model; det stays 1."""
-    a, b, c, d = (float(x) for x in m.entries())
-    # C * M
-    pa = _C_A * a + _C_B * c
-    pb = _C_A * b + _C_B * d
-    pc = _C_C * a + _C_D * c
-    pd = _C_C * b + _C_D * d
-    # (C*M) * C^-1, with C^-1 = (d, -b; -c, a) of the Cayley matrix
-    qa = pa * _C_D + pb * (-_C_C)
-    qb = pa * (-_C_B) + pb * _C_A
-    qc = pc * _C_D + pd * (-_C_C)
-    qd = pc * (-_C_B) + pd * _C_A
-    return (qa, qb, qc, qd)
+    a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
+    return (*disk_row(CAYLEY_TOP, a, b, c, d), *disk_row(CAYLEY_BOTTOM, a, b, c, d))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +276,7 @@ def fixed_points(m: Mat2) -> tuple[BoundaryPoint, BoundaryPoint]:
     cls = classify(m)
     if cls is not IsometryClass.HYPERBOLIC:
         raise NotHyperbolic(f"classify = {cls.value}")
-    a, b, c, d = (float(x) for x in m.entries())
+    a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
     if c == 0.0:
         # fixed points are infinity and b/(d-a)
         other = b / (d - a)

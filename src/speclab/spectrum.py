@@ -75,7 +75,7 @@ class Pattern:
 
     The blocks are kept flat, as positions into `classes`: `order` holds
     every position once, block by block, and block k ends at `ends[k]`;
-    no block is empty.  `blocks` names the same blocks by class key."""
+    no block is empty."""
 
     classes: tuple  # of ConjClassKey
     order: array
@@ -100,18 +100,6 @@ class Pattern:
     @property
     def n_blocks(self) -> int:
         return len(self.ends)
-
-    def position_blocks(self):
-        """Each block's class positions, in block order."""
-        start = 0
-        for end in self.ends:
-            yield self.order[start:end]
-            start = end
-
-    @property
-    def blocks(self) -> tuple:
-        cs = self.classes
-        return tuple(tuple(cs[i] for i in block) for block in self.position_blocks())
 
     def labels(self) -> list:
         """Block index of each class, by position; built on first use and

@@ -333,13 +333,6 @@ def letter_names(p: Presentation) -> dict[int, str]:
     return names
 
 
-def word_formatter(p: Presentation):
-    """A function printing words of one presentation, with the letter ->
-    name table built once."""
-    names = letter_names(p)
-    return lambda w: " ".join(map(names.__getitem__, w))
-
-
 def parse_word(text: str, p: Presentation) -> Word:
     """Parse `a1 B1 a1` tokens or compact single-letter `abAB` syntax."""
     text = text.strip()

@@ -3,6 +3,17 @@ import pytest
 _RESULTS = []
 
 
+def pattern_blocks(p, positions=False) -> tuple:
+    """The blocks of the Pattern p in block order, read off p.order and
+    p.ends: each a tuple of its classes, or of their positions in p.classes."""
+    blocks, start = [], 0
+    for end in p.ends:
+        block = p.order[start:end]
+        blocks.append(tuple(block) if positions else tuple(p.classes[i] for i in block))
+        start = end
+    return tuple(blocks)
+
+
 @pytest.fixture
 def acceptance():
     """Recorder for the acceptance-criteria summary printed after the run."""

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 
+from conftest import pattern_blocks
 from speclab import boundary, characters as ch
 from speclab.fricke import (
     fricke_from_rep,
@@ -187,7 +188,7 @@ def test_a7_arithmetic_point_contrast(acceptance):
     p = pattern(s)
     where = dict(zip(p.classes, p.labels()))
     found = None
-    for block in p.blocks:
+    for block in pattern_blocks(p):
         for i in range(len(block)):
             for j in range(i + 1, len(block)):
                 v = ch.rmin_test(block[i].word, block[j].word, 2, seed=0)

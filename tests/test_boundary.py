@@ -498,19 +498,64 @@ def _reference_checks(rep, seed, samples):
 
 
 @pytest.mark.parametrize(
-    "make_rep,seed",
+    "make_rep,seed,samples",
     [
-        (lambda: schottky_sample(11, 3), 11),
-        (lambda: schottky_sample(12, 4), 12),
-        (modular_torus_rep, 13),
-        (lambda: punctured_torus_sample(3), 3),
+        (lambda: schottky_sample(11, 3), 11, 300),
+        (lambda: schottky_sample(12, 4), 12, 300),
+        (modular_torus_rep, 13, 300),
+        (lambda: punctured_torus_sample(3), 3, 300),
+        # cocycle_identity and antisymmetry_at_poles fail here on float
+        # limits, with defects near their tolerances
+        (lambda: schottky_sample(1, 6), 1, 50),
     ],
-    ids=["schottky-rank3", "schottky-rank4", "modular-torus", "punctured-torus"],
+    ids=["schottky-rank3", "schottky-rank4", "modular-torus", "punctured-torus", "schottky-rank6"],
 )
-def test_run_all_checks_matches_object_level_reference(make_rep, seed):
+def test_run_all_checks_matches_object_level_reference(make_rep, seed, samples):
     rep = make_rep()
-    ours = [r.to_json() for r in run_all_checks(rep, seed=seed, samples=300)]
-    assert ours == [r.to_json() for r in _reference_checks(rep, seed, 300)]
+    ours = [r.to_json() for r in run_all_checks(rep, seed=seed, samples=samples)]
+    assert ours == [r.to_json() for r in _reference_checks(rep, seed, samples)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_run_all_checks_multiplies_only_northsouth_powers(seed, monkeypatch):
+    # the cocycle draw reads B(g1 g2, u) off the product's entries and builds
+    # no Mat2; 1448 products at rank 2 when it built one per draw
+    rep = schottky_sample(seed, 2)
+    calls = {"all": 0, "northsouth": 0}
+    inside = []
+    mul, limits = Mat2.__mul__, boundary.northsouth_limits
+
+    def counting(x, y):
+        calls["all"] += 1
+        calls["northsouth"] += bool(inside)
+        return mul(x, y)
+
+    def northsouth(*args, **kwargs):
+        inside.append(True)
+        try:
+            return limits(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Mat2, "__mul__", counting)
+    monkeypatch.setattr(boundary, "northsouth_limits", northsouth)
+    run_all_checks(rep, seed=seed, samples=1000)
+    assert 0 < calls["all"] == calls["northsouth"] < 1000
+
+
+def test_step1_calls_phi_once_per_point():
+    calls = []
+
+    def phi(xi):
+        calls.append(xi)
+        return math.cos(xi.theta)
+
+    g, e = REP.matrix(1), REP.matrix(2)
+    gp, gm = fixed_points(g)
+    for n in range(1, 6):
+        assert step1_identity_check(phi, e, g) < 1e-12
+        assert len(calls) == 3 * n
+    assert set(calls) == {gp, gm, act(e, gp)}
 
 
 def test_wrappers_equal_the_float_kernels():

@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import pattern_blocks
 import speclab.characters as characters
 from speclab.characters import (
     RminVerdict,
@@ -263,7 +264,7 @@ def test_rmin_partition_matches_squared_text_oracle(m, maxlen):
     # two reps leave hundreds of numeric coincidences to flag
     partition, flagged = rmin_pairs(classes, m, seed=3, n_reps=2)
     assert {frozenset(b) for b in partition} == expected
-    assert {frozenset(b) for b in rmin_pattern(classes, m).blocks} == expected
+    assert {frozenset(b) for b in pattern_blocks(rmin_pattern(classes, m))} == expected
     assert flagged
     assert {frozenset(f) for f in flagged} == _squared_flagged(oracle, m, 3, 2)
 
@@ -444,7 +445,7 @@ def test_rmin_pattern_matches_per_class_trace_poly(monkeypatch, m, maxlen):
         expected = _per_class_blocks(classes, m)
         oracle_memo = characters._rewriters[m].memo
         monkeypatch.setattr(characters, "_rewriters", {})
-        assert rmin_pattern(classes, m).blocks == tuple(map(tuple, expected.values())), name
+        assert pattern_blocks(rmin_pattern(classes, m)) == tuple(map(tuple, expected.values())), name
         # only keys that no rep told apart are rewritten, to the same
         # polynomials, so rank >= 3 keeps its representatives modulo the
         # t123 relation
@@ -752,7 +753,7 @@ def test_rmin_pattern_is_the_rmin_pairs_partition(m, maxlen):
     if m == 3:
         lists["f5"] = [sg.canonical_class(w) for pair in F5_PAIRS for w in _f5_words(pair)]
     for name, classes in lists.items():
-        blocks = rmin_pattern(classes, m).blocks
+        blocks = pattern_blocks(rmin_pattern(classes, m))
         for seed, n_reps in product((0, 1, 7), (1, 2, 16)):
             assert blocks == tuple(rmin_pairs(classes, m, seed, n_reps)[0]), (name, seed, n_reps)
 

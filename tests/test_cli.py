@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from conftest import pattern_blocks
 import speclab.boundary as boundary
 import speclab.cli as cli
 import speclab.surface_group as sg
@@ -615,11 +616,11 @@ def test_golden_exact_spectrum_rows():
 
 def _dumps_spectrum(rep, maxlen):
     """`spectrum` jsonl as one json.dumps per row."""
-    fmt = sg.word_formatter(rep.presentation)
+    names = sg.letter_names(rep.presentation)
     s = spectrum(rep, maxlen)
     lines = [
         json.dumps(
-            {"class": fmt(k.word), "trace": f"{float(t):.17g}", "length": f"{float(l):.17g}"},
+            {"class": " ".join(map(names.__getitem__, k.word)), "trace": f"{float(t):.17g}", "length": f"{float(l):.17g}"},
             sort_keys=True,
         )
         for k, t, l in zip(s.classes, s.traces, s.lengths)
@@ -631,11 +632,13 @@ def _dumps_pattern(rep, maxlen):
     """`pattern` output as one json.dumps of the whole document."""
     s = spectrum(rep, maxlen)
     p = pattern(s)
-    fmt = sg.word_formatter(rep.presentation)
+    names = sg.letter_names(rep.presentation)
     doc = {
         "rep_digest": s.rep_digest,
         "tolerance": f"{EPS:.17g}",
-        "blocks": [[fmt(p.classes[i].word) for i in block] for block in p.position_blocks()],
+        "blocks": [
+            [" ".join(map(names.__getitem__, k.word)) for k in block] for block in pattern_blocks(p)
+        ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

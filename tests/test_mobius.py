@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from speclab.mobius import (
+    CAYLEY_BOTTOM,
+    CAYLEY_TOP,
     EPS,
     EllipticElement,
     BoundaryPoint,
@@ -15,10 +17,12 @@ from speclab.mobius import (
     boundary_derivative,
     classify,
     disk_matrix,
+    disk_row,
     fixed_points,
     identity,
     translation_length,
 )
+from speclab.spectrum import modular_torus_rep
 
 
 def _power(m: Mat2, n: int) -> Mat2:
@@ -156,6 +160,44 @@ def test_cached_disk_matrix_is_the_disk_matrix_formula():
     exact = Mat2(Fraction(3, 2), 1, Fraction(1, 2), 1)
     assert exact.disk == disk_matrix(Mat2(*exact.entries()))
     assert exact == Mat2(*exact.entries())  # the cache is not part of equality
+
+
+def _disk_matrix_in_full(m):
+    """C M C^-1 written out entry by entry, with C the det-1 Cayley matrix
+    (z - i)/(z + i) scaled by 1/(1+i): the reference for `disk_row` and
+    `disk_matrix`."""
+    ca, cb, cc, cd = 1.0 / (1.0 + 1.0j), -1.0j / (1.0 + 1.0j), 1.0 / (1.0 + 1.0j), 1.0j / (1.0 + 1.0j)
+    a, b, c, d = (float(x) for x in m.entries())
+    pa, pb = ca * a + cb * c, ca * b + cb * d
+    pc, pd = cc * a + cd * c, cc * b + cd * d
+    return (
+        pa * cd + pb * (-cc),
+        pa * (-cb) + pb * ca,
+        pc * cd + pd * (-cc),
+        pc * (-cb) + pd * ca,
+    )
+
+
+def test_disk_rows_are_the_disk_matrix_bit_for_bit():
+    rng = random.Random(36)
+    floats = []
+    for _ in range(20):
+        a, b, c = (rng.uniform(-3, 3) for _ in range(3))
+        a = a if abs(a) > 0.1 else 1.0
+        floats.append(Mat2(a, b, c, (1 + b * c) / a))
+    torus = modular_torus_rep()
+    ints = [torus.matrix(1), torus.matrix(2), torus.matrix(1).inverse(), Mat2(3, 2, 1, 1)]
+    fractions = [Mat2(Fraction(3, 2), 1, Fraction(1, 2), 1), Mat2(*map(Fraction, (2, 3, 1, 2)))]
+    mats = floats + ints + fractions
+    # products too, as the cocycle suite forms them: exact entries stay
+    # exact until the row reads them as floats
+    mats += [x * y for x in mats for y in mats[-6:]]
+    for m in mats:
+        a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
+        want = _disk_matrix_in_full(m)
+        assert disk_matrix(m) == want
+        assert disk_row(CAYLEY_TOP, a, b, c, d) == want[:2]
+        assert disk_row(CAYLEY_BOTTOM, a, b, c, d) == want[2:]
 
 
 def test_boundary_derivative_identity():

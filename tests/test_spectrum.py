@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import pattern_blocks
 from speclab.fricke import SamplingFailed, punctured_torus_sample, schottky_sample
 from speclab.spectrum import (
     ClassSetMismatch,
@@ -39,14 +40,14 @@ def _toy_spectrum(named_lengths):
 def test_pattern_toy_blocks():
     s = _toy_spectrum([((1,), 1.0), ((2,), 1.0), ((1, 2), 2.0)])
     p = pattern(s)
-    blocks = {frozenset(str(k) for k in b) for b in p.blocks}
+    blocks = {frozenset(str(k) for k in b) for b in pattern_blocks(p)}
     assert blocks == {frozenset({"a", "b"}), frozenset({"ab"})}
 
 
 def test_pattern_all_distinct_singletons():
     s = _toy_spectrum([((1,), 1.0), ((2,), 1.5), ((1, 2), 2.0)])
     p = pattern(s)
-    assert all(len(b) == 1 for b in p.blocks)
+    assert all(len(b) == 1 for b in pattern_blocks(p))
 
 
 def test_spectrum_inverse_classes_equal_length():
@@ -215,11 +216,12 @@ def test_spectrum_raises_on_elliptic_product(num):
 def _subrelation_by_keys(p1, p2):
     """The key-based sub-relation test, as it was before patterns held
     positions: the reference for subrelation."""
-    if frozenset(k for b in p1.blocks for k in b) != frozenset(k for b in p2.blocks for k in b):
+    blocks1, blocks2 = pattern_blocks(p1), pattern_blocks(p2)
+    if frozenset(k for b in blocks1 for k in b) != frozenset(k for b in blocks2 for k in b):
         raise ClassSetMismatch("patterns cover different class sets")
-    where = {k: i for i, b in enumerate(p2.blocks) for k in b}
+    where = {k: i for i, b in enumerate(blocks2) for k in b}
     violations = []
-    for block in p1.blocks:
+    for block in blocks1:
         for i in range(len(block)):
             for j in range(i + 1, len(block)):
                 if where[block[i]] != where[block[j]]:
@@ -239,7 +241,7 @@ def _random_pattern(rng, classes, blocks):
 def _coarsened(rng, p):
     """p with some of its blocks merged, so p is a sub-relation of it."""
     merged = {}
-    for block in p.position_blocks():
+    for block in pattern_blocks(p, positions=True):
         merged.setdefault(rng.randrange(max(1, p.n_blocks // 2)), []).extend(block)
     return Pattern.from_blocks(p.classes, merged.values())
 
@@ -251,7 +253,7 @@ def _reordered(rng, p):
     new_pos = {old: new for new, old in enumerate(perm)}
     classes = tuple(p.classes[old] for old in perm)
     return Pattern.from_blocks(
-        classes, ([new_pos[i] for i in b] for b in p.position_blocks())
+        classes, ([new_pos[i] for i in b] for b in pattern_blocks(p, positions=True))
     )
 
 
@@ -267,7 +269,7 @@ def test_position_based_subrelation_matches_key_based():
                 _coarsened(rng, p1),
                 _reordered(rng, p1),
                 _reordered(rng, _coarsened(rng, p1)),
-                Pattern.from_blocks(classes, reversed(list(p1.position_blocks()))),
+                Pattern.from_blocks(classes, reversed(pattern_blocks(p1, positions=True))),
             ]
         )
         for a, b in ((p1, p2), (p2, p1)):
@@ -297,11 +299,12 @@ def test_pattern_blocks_name_positions():
     p = pattern(s)
     assert p.classes is s.classes
     assert sorted(p.order) == list(range(len(s.classes)))
-    blocks = [tuple(b) for b in p.position_blocks()]
+    blocks = pattern_blocks(p, positions=True)
     assert len(blocks) == p.n_blocks and sum(map(len, blocks)) == len(s.classes)
-    assert p.blocks == tuple(tuple(s.classes[i] for i in b) for b in blocks)
+    assert [i for b in blocks for i in b] == list(p.order) and p.ends[-1] == len(p.order)
+    assert pattern_blocks(p) == tuple(tuple(s.classes[i] for i in b) for b in blocks)
     where = dict(zip(p.classes, p.labels()))
-    assert all(where[k] == i for i, b in enumerate(p.blocks) for k in b)
+    assert all(where[k] == i for i, b in enumerate(pattern_blocks(p)) for k in b)
 
 
 
