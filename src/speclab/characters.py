@@ -59,8 +59,7 @@ def _factors(mono: Monomial) -> tuple[tuple[int, int], ...]:
 
 
 def subset_name(mask: int) -> str:
-    idx = [str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1]
-    return "t{" + ",".join(idx) + "}"
+    return "t{" + ",".join(map(str, basis_word(mask))) + "}"
 
 
 class TracePoly:

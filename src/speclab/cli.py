@@ -26,7 +26,6 @@ from .mobius import EPS
 from .spectrum import (
     SpectrumError,
     pattern as length_pattern,
-    rows_to_csv,
     scan_generic,
     spectrum as length_spectrum,
     subrelation,
@@ -107,13 +106,17 @@ def cmd_sample(args) -> int:
 def cmd_spectrum(args) -> int:
     rep = _load_rep(args)
     s = length_spectrum(rep, args.maxlen)
+    # one template per row; a rep file or a sample has float entries, so the
+    # numbers are floats and the template formats them as float_text does
+    num = "{:" + FLOAT_SPEC + "}"
     if args.format == "csv":
-        _out(args, rows_to_csv(zip(s.classes, s.traces, s.lengths)))
+        # the header, then class,trace,length: a key's text with its spaces
+        # (the signed-int fallback past 26 generators) made dots
+        row = ("{}," + num + "," + num + "\n").format
+        keys = map(str.replace, map(str, s.classes), repeat(" "), repeat("."))
+        _out(args, chain(("class,trace,length\n",), map(row, keys, s.traces, s.lengths)))
     else:
-        # each line is the text of json.dumps({"class", "length", "trace"}, sort_keys=True);
-        # a rep file or a sample has float entries, so the numbers are floats
-        # and the template formats them as float_text does
-        num = "{:" + FLOAT_SPEC + "}"
+        # each line is the text of json.dumps({"class", "length", "trace"}, sort_keys=True)
         row = ('{{"class": "{}", "length": "' + num + '", "trace": "' + num + '"}}\n').format
         words = _word_texts(rep.presentation, s.classes)
         _out(args, map(row, words, s.lengths, s.traces))

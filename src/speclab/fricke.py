@@ -75,12 +75,12 @@ class FrickeVector:
             raise FrickeError(
                 f"dimension {len(self.values)}, expected {expected} for (g,n)=({g},{n})"
             )
-        for i in range(g - 1):
-            block = self.values[6 * i : 6 * i + 6]
-            if block[1] <= 0 or block[4] <= 0:
+        for i in range(2, g + 1):
+            _, c, _, _, c2, _ = self.handle(i)
+            if c <= 0 or c2 <= 0:
                 raise FrickeError("handle coordinates need c_i > 0, c'_i > 0")
-        for j in range(n):
-            if self.values[6 * (g - 1) + 2 * j + 1] == 0:
+        for j in range(1, n + 1):
+            if self.puncture(j)[1] == 0:
                 raise FrickeError("puncture coordinates need g_j != 0")
 
     def handle(self, i: int):

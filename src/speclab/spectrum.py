@@ -10,7 +10,7 @@ from functools import cached_property
 from itertools import combinations
 
 from . import characters, surface_group as sg
-from .fricke import SamplingFailed, SurfaceRep, float_text, schottky_sample
+from .fricke import SamplingFailed, SurfaceRep, schottky_sample
 # classify is not called here: perfbench/selftest.py checks that its tracer wraps this copy
 from .mobius import Mat2, classify, trace_gap  # noqa: F401
 
@@ -101,13 +101,10 @@ class Pattern:
     def n_blocks(self) -> int:
         return len(self.ends)
 
+    @cached_property
     def labels(self) -> list:
         """Block index of each class, by position; built on first use and
         kept, so it is not to be changed."""
-        return self._labels
-
-    @cached_property
-    def _labels(self) -> list:
         # one pass along order: no block is empty, so each end passed starts the next block
         out, ends, label = [0] * len(self.classes), self.ends.tolist(), 0
         for k, i in enumerate(self.order):
@@ -132,7 +129,7 @@ def pattern(s: LengthSpectrum) -> Pattern:
 def _labels_along(p: Pattern, classes: tuple):
     """p's block labels read in the order of `classes`; ClassSetMismatch
     when p covers another class set."""
-    labels = p.labels()
+    labels = p.labels
     if p.classes == classes:
         return labels
     where = dict(zip(p.classes, labels))
@@ -149,7 +146,7 @@ def subrelation(p1: Pattern, p2: Pattern):
     the positions give p1.n_blocks distinct (p1 label, p2 label) pairs; only
     the p1 blocks that meet several p2 labels are walked for their pairs."""
     where = _labels_along(p2, p1.classes)
-    pairs = set(zip(p1.labels(), where))
+    pairs = set(zip(p1.labels, where))
     violations = []
     if len(pairs) > p1.n_blocks:
         cs, order, ends = p1.classes, p1.order, p1.ends
@@ -234,11 +231,3 @@ def scan_generic(
 def modular_torus_rep() -> SurfaceRep:
     """The integer punctured-torus point: generators (1 1 / 1 2), (1 -1 / -1 2)."""
     return SurfaceRep.free_rep([Mat2(1, 1, 1, 2), Mat2(1, -1, -1, 2)])
-
-
-def rows_to_csv(rows):
-    """The csv text of (class, trace, length) rows, yielded a line at a
-    time: the header, then one line per row."""
-    yield "class,trace,length\n"
-    for key, t, l in rows:
-        yield f"{str(key).replace(' ', '.')},{float_text(t)},{float_text(l)}\n"

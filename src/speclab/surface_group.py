@@ -62,13 +62,6 @@ class Presentation:
         """Rank of the free group: every generator but the last puncture's."""
         return 2 * self.genus + self.punctures - 1
 
-    def generator_name(self, k: int) -> str:
-        g = self.genus
-        if k <= 2 * g:
-            i = (k + 1) // 2
-            return f"a{i}" if k % 2 == 1 else f"b{i}"
-        return f"g{k - 2 * g}"
-
 
 def free_reduce(raw) -> Word:
     out: list[int] = []
@@ -323,35 +316,36 @@ def compile_classes(classes) -> ClassProgram:
 # -- text serialization ------------------------------------------------------
 
 def letter_names(p: Presentation) -> dict[int, str]:
-    """The letter -> name table of p: +k names the k-th generator, -k the
-    same name in upper case.  A word's text is its letters' names joined by
-    spaces, `" ".join(map(names.__getitem__, w))`."""
+    """The letter -> name table of p, the one rule for generator names:
+    +k names the k-th generator (a_i, b_i for the handles, then g_j for the
+    punctures), -k the same name in upper case.  A word's text is its
+    letters' names joined by spaces, `" ".join(map(names.__getitem__, w))`."""
     names = {}
+    for i in range(1, p.genus + 1):
+        names[2 * i - 1], names[2 * i] = f"a{i}", f"b{i}"
+    for j in range(1, p.punctures + 1):
+        names[2 * p.genus + j] = f"g{j}"
     for k in range(1, p.num_generators + 1):
-        names[k] = p.generator_name(k)
         names[-k] = names[k].upper()
     return names
 
 
 def parse_word(text: str, p: Presentation) -> Word:
-    """Parse `a1 B1 a1` tokens or compact single-letter `abAB` syntax."""
+    """Parse `a1 B1 a1` tokens or compact single-letter `abAB` syntax: each
+    token is a name of `letter_names(p)` or, up to 26 generators, a compact
+    letter a, b, c, ... in generator order, upper case for the inverse."""
     text = text.strip()
     if not text:
         return ()
     toks = text.split()
     if len(toks) == 1 and not any(ch.isdigit() for ch in toks[0]) and len(toks[0]) > 1:
         toks = list(toks[0])
-    name_to_index = {}
-    for k in range(1, p.num_generators + 1):
-        name_to_index[p.generator_name(k)] = k
-    # compact syntax: a, b, c, ... in generator order
+    letter_of = {name: x for x, name in letter_names(p).items()}
     for k in range(1, min(p.num_generators, 26) + 1):
-        name_to_index.setdefault(chr(ord("a") + k - 1), k)
+        letter_of[chr(ord("a") + k - 1)], letter_of[chr(ord("A") + k - 1)] = k, -k
     out = []
     for t in toks:
-        low = t.lower()
-        if low not in name_to_index:
+        if t not in letter_of:
             raise WordError(f"unknown generator token {t!r}")
-        k = name_to_index[low]
-        out.append(-k if t[0].isupper() else k)
+        out.append(letter_of[t])
     return free_reduce(out)

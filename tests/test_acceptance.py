@@ -186,7 +186,7 @@ def test_a7_arithmetic_point_contrast(acceptance):
     rep = modular_torus_rep()
     s = spectrum(rep, 2)
     p = pattern(s)
-    where = dict(zip(p.classes, p.labels()))
+    where = dict(zip(p.classes, p.labels))
     found = None
     for block in pattern_blocks(p):
         for i in range(len(block)):

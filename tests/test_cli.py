@@ -601,6 +601,26 @@ def test_golden_compare_stdout(first, second, code, digest, tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_rows_to_csv_layout(capsys):
+    assert main(["spectrum", "--seed", "1", "--maxlen", "1", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    # the header, then one line per class: a, A, b, B
+    assert len(lines) == 1 + 4 and all(line.endswith("\n") for line in lines)
+    assert lines[0] == "class,trace,length\n"
+    assert lines[1].startswith("a,")
+
+
+def test_csv_signed_int_fallback_past_26_generators(capsys):
+    # no compact letter past z: a class's signed integers are joined by dots
+    assert main(["spectrum", "--seed", "1", "--rank", "27", "--maxlen", "2", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1513 and lines[0] == "class,trace,length"
+    classes = [line.split(",")[0] for line in lines[1:]]
+    assert {"a", "A", "z", "Z", "27", "-27", "1.27", "-27.-27"} <= set(classes)
+    assert all(c.isalpha() or all(x.lstrip("-").isdigit() for x in c.split(".")) for c in classes)
+    assert all(len(line.split(",")) == 3 for line in lines)
+
+
 def test_golden_exact_spectrum_rows():
     # modular torus: integer matrices, so the traces are exact integers
     s = spectrum(modular_torus_rep(), 8)

@@ -17,7 +17,6 @@ from speclab.spectrum import (
     modular_torus_rep,
     pattern,
     rmin_pattern,
-    rows_to_csv,
     scan_generic,
     spectrum,
     subrelation,
@@ -303,7 +302,7 @@ def test_pattern_blocks_name_positions():
     assert len(blocks) == p.n_blocks and sum(map(len, blocks)) == len(s.classes)
     assert [i for b in blocks for i in b] == list(p.order) and p.ends[-1] == len(p.order)
     assert pattern_blocks(p) == tuple(tuple(s.classes[i] for i in b) for b in blocks)
-    where = dict(zip(p.classes, p.labels()))
+    where = dict(zip(p.classes, p.labels))
     assert all(where[k] == i for i, b in enumerate(pattern_blocks(p)) for k in b)
 
 
@@ -311,7 +310,7 @@ def test_pattern_blocks_name_positions():
 def test_from_blocks_labels_each_position():
     classes = tuple(sg.enumerate_classes(F2, 1))  # a, A, b, B
     p = Pattern.from_blocks(classes, [[2, 0], [1, 3]])
-    assert p.labels() == [0, 1, 0, 1] and p.labels() is p.labels()
+    assert p.labels == [0, 1, 0, 1] and p.labels is p.labels
 
 
 @pytest.mark.parametrize(
@@ -385,7 +384,7 @@ def test_scan_generic_compiles_its_classes_once(monkeypatch):
 
 def test_scan_generic_builds_rmin_labels_once(monkeypatch):
     module = sys.modules["speclab.spectrum"]
-    real_rmin, real_build = module.rmin_pattern, Pattern._labels.func
+    real_rmin, real_build = module.rmin_pattern, Pattern.labels.func
     pmins, built = [], []
 
     def kept_rmin(classes, m):
@@ -397,9 +396,9 @@ def test_scan_generic_builds_rmin_labels_once(monkeypatch):
         return real_build(p)
 
     labels = functools.cached_property(counted_build)
-    labels.__set_name__(Pattern, "_labels")
+    labels.__set_name__(Pattern, "labels")
     monkeypatch.setattr(module, "rmin_pattern", kept_rmin)
-    monkeypatch.setattr(Pattern, "_labels", labels)
+    monkeypatch.setattr(Pattern, "labels", labels)
     recs = list(scan_generic(1, 5, maxlen=4, include_arithmetic_point=True))
     # R_min's labels once for the scan, then each trial's R_g labels once
     assert len(pmins) == 1 and len(recs) == 5 + 1
@@ -426,7 +425,7 @@ def test_modular_torus_arithmetic_coincidence():
     p = pattern(s)
     a = sg.canonical_class((1,))
     b = sg.canonical_class((2,))
-    where = dict(zip(p.classes, p.labels()))
+    where = dict(zip(p.classes, p.labels))
     # traces 3 and 3: same length block ...
     assert where[a] == where[b]
     # ... yet provably unrelated in the minimal pattern
@@ -496,11 +495,3 @@ def test_scan_command_exits_1_when_a_trial_fails(monkeypatch, capsys):
     assert main(["scan", "--seed", "2", "--trials", "2", "--maxlen", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: trial 0") and captured.out == ""
-
-
-def test_rows_to_csv_layout():
-    s = _toy_spectrum([((1,), 1.0)])
-    lines = list(rows_to_csv(zip(s.classes, s.traces, s.lengths)))  # yielded a line at a time
-    assert len(lines) == 2 and all(line.endswith("\n") for line in lines)
-    assert lines[0] == "class,trace,length\n"
-    assert lines[1].startswith("a,")

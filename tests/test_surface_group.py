@@ -11,6 +11,7 @@ from speclab.surface_group import (
     ConjClassKey,
     EmptyWord,
     Presentation,
+    WordError,
     canonical_class,
     class_traces,
     compile_classes,
@@ -429,10 +430,41 @@ def test_class_traces_multiplies_once_per_prenecklace(monkeypatch, m, maxlen, no
     assert [t.x for t in traces] == compile_classes(keys).traces(rep)
 
 
-def test_word_text_roundtrip():
-    for text in ("a1 B1 a1", "abAB", "a1", "g1"):
-        w = parse_word(text, F2)
-        assert parse_word(" ".join(map(letter_names(F2).__getitem__, w)), F2) == w
+@pytest.mark.parametrize(
+    "genus,punctures,generators",
+    [(0, 3, "g1 g2 g3"), (1, 1, "a1 b1 g1"), (2, 1, "a1 b1 a2 b2 g1"), (2, 3, "a1 b1 a2 b2 g1 g2 g3")],
+    ids=["0-3", "1-1", "2-1", "2-3"],
+)
+def test_word_text_roundtrip(genus, punctures, generators):
+    # letter_names is the one name table: each name it prints, lower case
+    # for a generator and upper case for its inverse, parses to its letter
+    p = Presentation(genus=genus, punctures=punctures)
+    names = letter_names(p)
+    assert [names[k] for k in range(1, p.num_generators + 1)] == generators.split()
+    assert sorted(names) == [x for x in range(-p.num_generators, p.num_generators + 1) if x]
+    for x, name in names.items():
+        assert name == (name.lower() if x > 0 else name.upper())
+        assert parse_word(name, p) == (x,)
+    texts = ["abAB", "g1", " ".join(names.values())] + (["a1 B1 a1", "a1"] if genus else [])
+    for text in texts:
+        w = parse_word(text, p)
+        assert parse_word(" ".join(map(names.__getitem__, w)), p) == w
+
+
+def test_parse_word_compact_letters_up_to_26_generators():
+    p = Presentation(genus=0, punctures=27)
+    for k in range(1, 27):
+        assert parse_word(chr(ord("a") + k - 1), p) == (k,)
+        assert parse_word(chr(ord("A") + k - 1), p) == (-k,)
+    assert parse_word("azZ", p) == (1,) and parse_word("g27 G26", p) == (27, -26)
+    # past the generators there is no compact letter
+    with pytest.raises(WordError, match="^unknown generator token 'd'$"):
+        parse_word("abd", F2)
+
+
+def test_parse_word_names_an_unknown_token():
+    with pytest.raises(WordError, match="^unknown generator token 'x9'$"):
+        parse_word("a1 x9 b1", F2)
 
 
 def test_parse_word_compact_and_spaced_agree():
