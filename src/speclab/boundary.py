@@ -8,21 +8,25 @@ With these signs the pairing identity
     C(g xi, g eta) - C(xi, eta) = B(g, xi) + B(g, eta)
 is an algebraic identity of Mobius maps, verified here numerically.
 
-Every formula has one raw form on an (angle, unit complex) pair and a disk
-matrix, built on the float kernels of `mobius` (`circle_image`,
-`circle_derivative`, `angle_gap`) that `act`, `boundary_derivative` and
-`BoundaryPoint.angle_dist` wrap.  `busemann`, `cross_term`, `pairing_check`
-and `recover_cocycle_from_C` take BoundaryPoints and wrap the raw forms; the
-last three raise CoincidentPoints when two of their points, or two images,
-are closer than SEPARATION_FLOOR.  `run_all_checks` calls the raw forms
-directly, which test no floor: its points are drawn more than 1e-3 apart and
-it rejects images closer than 1e-5.  Both tests, and the floor, read the least
-gap of all pairs off the sorted neighbours and the wrap arc (`_least_gap`).
-It draws its words with the same random bits as `randint`/`choice`, reading
-each letter from a table of all the draws of its bit width (`_word_drawer`).
-B reads only the bottom row (q_c, q_d) of a disk matrix, so the cocycle draw
-builds no Mat2 for g1 g2: it forms the product's four entries inline and
-only that row of its disk matrix (`disk_row`).
+Each draw kind of `run_all_checks` (cocycle, pairing, C-recovery, step 1)
+has one raw kernel on angles or unit complexes and disk matrices.  A kernel
+maps all of its draw's points through the disk matrix in one call of the
+many-point image kernel of `mobius` (`circle_images`, which `circle_image`
+and `act` wrap) and sums the draw's terms in local variables, with the
+operands and the order of `busemann` and `cross_term`, so every defect and
+every rejection is the same float as on BoundaryPoints.  `pairing_check`,
+`recover_cocycle_from_C` and `step1_identity_check` take BoundaryPoints and
+wrap the same kernels; the first two raise CoincidentPoints when two of
+their points, or two images, are closer than SEPARATION_FLOOR.  The kernels
+test no floor on the points: `run_all_checks` draws its points more than
+1e-3 apart and rejects images closer than 1e-5.  Those tests, and the floor,
+read the least gap of all pairs off the sorted neighbours and the wrap arc
+(`_least_gap`).  It draws its words with the same random bits as
+`randint`/`choice`, reading each letter from a table of all the draws of its
+bit width (`_word_drawer`).  B reads only the bottom row (q_c, q_d) of a disk
+matrix, so the cocycle kernel builds no Mat2 for g1 g2: it forms the
+product's four entries inline and only that row of its disk matrix
+(`disk_row`).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from functools import cache
+from math import log
 
 from . import surface_group as sg
 from .mobius import (
@@ -45,7 +50,7 @@ from .mobius import (
     act,
     angle_gap,
     circle_derivative,
-    circle_image,
+    circle_images,
     classify,
     disk_row,
     fixed_points,
@@ -69,34 +74,100 @@ class DegenerateConfiguration(BoundaryError):
     pass
 
 
-# Raw forms: a point is an (angle, unit complex) pair, an element its disk
-# matrix q (`Mat2.disk`), of which `_busemann` reads only the bottom row
-# q[2], q[3].
+# Raw kernels, one per draw kind of `run_all_checks`.  A point is an angle
+# theta in [0, 2 pi) or its unit complex u = exp(i theta), an element its disk
+# matrix q (`Mat2.disk`).  Each kernel maps all of the draw's points through
+# q in one `circle_images` call and sums the draw's terms in local variables:
+#     B(g, u)  = -log(1 / m^2),  m = |q_c u + q_d|  (1 / m^2 is circle_derivative)
+#     C(x, y)  = -log(d^2 / 4),  d = |x - y|
+# with the operands and the order of `busemann` and `cross_term`, so every
+# term is the same float.  The pairing and recovery kernels return None when
+# two images are closer than `floor`, and test no floor on the points.
 
-def _busemann(q, u: complex) -> float:
-    return -math.log(circle_derivative(q, u))
+def _cocycle(g1: Mat2, g2: Mat2, u: complex) -> float:
+    """Defect |B(g1 g2, u) - B(g1, g2 u) - B(g2, u)| of the cocycle identity.
+    B(g1 g2, u) reads only the bottom row of the product's disk matrix, so no
+    Mat2 is built: the product's entries are the sums of Mat2.__mul__, and
+    the top row, which is never read, is left out."""
+    _, _, q1c, q1d = g1.disk
+    q2 = g2.disk
+    (gu,) = circle_images(q2, (u,))[1]
+    qc, qd = disk_row(
+        CAYLEY_BOTTOM,
+        float(g1.a * g2.a + g1.b * g2.c),
+        float(g1.a * g2.b + g1.b * g2.d),
+        float(g1.c * g2.a + g1.d * g2.c),
+        float(g1.c * g2.b + g1.d * g2.d),
+    )
+    m12 = abs(qc * u + qd)
+    m1 = abs(q1c * gu + q1d)
+    m2 = abs(q2[2] * u + q2[3])
+    return abs(-log(1.0 / (m12 * m12)) - -log(1.0 / (m1 * m1)) - -log(1.0 / (m2 * m2)))
 
 
-def _cross(x, y) -> float:
-    d = abs(x[1] - y[1])
-    return -math.log(d * d / 4.0)
-
-
-def _pairing_defect(q, x, y, gx, gy) -> float:
-    lhs = _cross(gx, gy) - _cross(x, y)
-    rhs = _busemann(q, x[1]) + _busemann(q, y[1])
+def _pairing(q, s: float, t: float, floor: float) -> float | None:
+    """Defect of the pairing identity C(gx, gy) - C(x, y) = B(g, x) + B(g, y)
+    at the angles s, t."""
+    x, y = cmath.exp(1j * s), cmath.exp(1j * t)
+    (gs, gt), (gx, gy) = circle_images(q, (x, y))
+    if angle_gap(gs, gt) < floor:
+        return None
+    _, _, qc, qd = q
+    dg = abs(gx - gy)
+    d = abs(x - y)
+    mx = abs(qc * x + qd)
+    my = abs(qc * y + qd)
+    lhs = -log(dg * dg / 4.0) - -log(d * d / 4.0)
+    rhs = -log(1.0 / (mx * mx)) + -log(1.0 / (my * my))
     return abs(lhs - rhs)
 
 
-def _recovered(x, y, z, gx, gy, gz) -> float:
-    return 0.5 * (
-        (_cross(gx, gy) + _cross(gx, gz) - _cross(gy, gz))
-        - (_cross(x, y) + _cross(x, z) - _cross(y, z))
-    )
+def _recovery(q, thetas, floor: float) -> list[float] | None:
+    """[B(g, x), r1, r2, ...] at x = thetas[0]: r_i is the triple-difference
+    recovery of B(g, x), half of h(gx, gy, gz) - h(x, y, z) with
+    h(x, y, z) = C(x, y) + C(x, z) - C(y, z), from the i-th further pair
+    (y, z) of `thetas`."""
+    exp = cmath.exp
+    us = [exp(1j * t) for t in thetas]
+    ts, gs = circle_images(q, us)
+    if _least_gap(ts) < floor:
+        return None
+    x, gx = us[0], gs[0]
+    m = abs(q[2] * x + q[3])
+    out = [-log(1.0 / (m * m))]
+    for i in range(1, len(us), 2):
+        y, z, gy, gz = us[i], us[i + 1], gs[i], gs[i + 1]
+        d1 = abs(gx - gy)
+        d2 = abs(gx - gz)
+        d3 = abs(gy - gz)
+        d4 = abs(x - y)
+        d5 = abs(x - z)
+        d6 = abs(y - z)
+        out.append(0.5 * (
+            (-log(d1 * d1 / 4.0) + -log(d2 * d2 / 4.0) - -log(d3 * d3 / 4.0))
+            - (-log(d4 * d4 / 4.0) + -log(d5 * d5 / 4.0) - -log(d6 * d6 / 4.0))
+        ))
+    return out
 
 
-def _raw(xi: BoundaryPoint):
-    return xi.theta, xi.u
+def _step1(q, gp: BoundaryPoint, gm: BoundaryPoint, phi) -> float:
+    """For a coboundary delta = d(phi), the defect of
+    delta(eta, gamma+) = f(eta gamma+, gamma-) - f(gamma+, gamma-) with
+    f(x, y) = phi(x) + phi(y); q is the disk matrix of eta, gp and gm the
+    poles of gamma.  phi takes an angle and is called once at each of the
+    three points."""
+    at_egp = phi(_pole_image(q, gp, gm))
+    at_gp, at_gm = phi(gp.theta), phi(gm.theta)
+    return abs((at_egp - at_gp) - ((at_egp + at_gm) - (at_gp + at_gm)))
+
+
+def _pole_image(q, gp: BoundaryPoint, gm: BoundaryPoint) -> float:
+    """The angle of eta gamma+, q the disk matrix of eta; DegenerateConfiguration
+    when it is closer than SEPARATION_FLOOR to gamma-."""
+    (t,) = circle_images(q, (gp.u,))[0]
+    if angle_gap(t, gm.theta) < SEPARATION_FLOOR:
+        raise DegenerateConfiguration("eta gamma+ coincides with gamma-")
+    return t
 
 
 def _least_gap(thetas) -> float:
@@ -115,58 +186,56 @@ def _least_gap(thetas) -> float:
     return least
 
 
-def _separated(*pts) -> None:
-    """CoincidentPoints unless every pair of raw points is at least
+def _separated(*pts: BoundaryPoint) -> None:
+    """CoincidentPoints unless every pair of points is at least
     SEPARATION_FLOOR apart."""
-    gap = _least_gap([t for t, _ in pts])
+    gap = _least_gap([p.theta for p in pts])
     if gap < SEPARATION_FLOOR:
         raise CoincidentPoints(f"separation {gap} below floor")
 
 
+def _images_apart(result):
+    """A kernel's result, or CoincidentPoints when it is None: two images
+    closer than SEPARATION_FLOOR."""
+    if result is None:
+        raise CoincidentPoints(f"images closer than {SEPARATION_FLOOR}")
+    return result
+
+
+def _poles(gamma: Mat2) -> tuple[BoundaryPoint, BoundaryPoint]:
+    """(gamma+, gamma-); DegenerateConfiguration unless gamma is hyperbolic."""
+    try:
+        return gamma.fixed
+    except NotHyperbolic:
+        raise DegenerateConfiguration("gamma must be hyperbolic") from None
+
+
 def busemann(gamma: Mat2, xi: BoundaryPoint) -> float:
     """Horospherical displacement cocycle B(gamma, xi) = -log|gamma'(xi)|."""
-    return _busemann(gamma.disk, xi.u)
+    return -math.log(circle_derivative(gamma.disk, xi.u))
 
 
 def cross_term(xi: BoundaryPoint, eta: BoundaryPoint) -> float:
     """C(xi, eta) = 2 (xi, eta)_o = -log(|xi - eta|^2 / 4); CoincidentPoints
     when xi and eta are closer than SEPARATION_FLOOR."""
-    x, y = _raw(xi), _raw(eta)
-    _separated(x, y)
-    return _cross(x, y)
+    _separated(xi, eta)
+    d = abs(xi.u - eta.u)
+    return -math.log(d * d / 4.0)
 
 
 def pairing_check(gamma: Mat2, xi: BoundaryPoint, eta: BoundaryPoint) -> float:
     """Defect of the Gromov-product pairing identity at (gamma, xi, eta)."""
-    q = gamma.disk
-    x, y = _raw(xi), _raw(eta)
-    gx, gy = circle_image(q, xi.u), circle_image(q, eta.u)
-    _separated(x, y)
-    _separated(gx, gy)
-    return _pairing_defect(q, x, y, gx, gy)
+    _separated(xi, eta)
+    return _images_apart(_pairing(gamma.disk, xi.theta, eta.theta, SEPARATION_FLOOR))
 
 
 def recover_cocycle_from_C(
     gamma: Mat2, x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint
 ) -> float:
     """Triple-difference recovery: half of h(gx,gy,gz) - h(x,y,z) equals B(gamma, x)."""
-    pts = [_raw(p) for p in (x, y, z)]
-    imgs = [circle_image(gamma.disk, u) for _, u in pts]
-    _separated(*pts)
-    _separated(*imgs)
-    return _recovered(*pts, *imgs)
-
-
-def _poles(eta: Mat2, gamma: Mat2):
-    """(gamma+, gamma-, eta gamma+), each pair SEPARATION_FLOOR apart or more."""
-    try:
-        gp, gm = gamma.fixed
-    except NotHyperbolic:
-        raise DegenerateConfiguration("gamma must be hyperbolic") from None
-    egp = act(eta, gp)
-    if egp.angle_dist(gm) < SEPARATION_FLOOR:
-        raise DegenerateConfiguration("eta gamma+ coincides with gamma-")
-    return gp, gm, egp
+    _separated(x, y, z)
+    thetas = (x.theta, y.theta, z.theta)
+    return _images_apart(_recovery(gamma.disk, thetas, SEPARATION_FLOOR))[1]
 
 
 def step1_identity_check(phi, eta: Mat2, gamma: Mat2) -> float:
@@ -174,9 +243,8 @@ def step1_identity_check(phi, eta: Mat2, gamma: Mat2) -> float:
     delta(eta, gamma+) = f(eta gamma+, gamma-) - f(gamma+, gamma-) with
     f(x, y) = phi(x) + phi(y).  phi is called once at each of the three
     points, so it must be a function of the point alone."""
-    gp, gm, egp = _poles(eta, gamma)
-    at_egp, at_gp, at_gm = phi(egp), phi(gp), phi(gm)
-    return abs((at_egp - at_gp) - ((at_egp + at_gm) - (at_gp + at_gm)))
+    gp, gm = _poles(gamma)
+    return _step1(eta.disk, gp, gm, lambda t: phi(BoundaryPoint(t)))
 
 
 def northsouth_limits(eta: Mat2, gamma: Mat2, n_max: int = 30, n_min: int = 1):
@@ -187,7 +255,8 @@ def northsouth_limits(eta: Mat2, gamma: Mat2, n_max: int = 30, n_min: int = 1):
     always the same left-to-right product from n = 1, so a row does not
     depend on n_min.
     """
-    _, gm, target_plus = _poles(eta, gamma)
+    gp, gm = _poles(gamma)
+    target_plus = BoundaryPoint(_pole_image(eta.disk, gp, gm))
     rows = []
     power = Mat2(1, 0, 0, 1)
     for n in range(1, n_max + 1):
@@ -244,18 +313,6 @@ class CheckReport:
         return json.dumps({**asdict(self), "pass": self.passed}, sort_keys=True)
 
 
-def _separated_points(rng: random.Random, count: int):
-    """`count` random (angle, unit complex) points, pairwise more than 1e-3
-    apart.  Each angle is rng.uniform(0, 2 pi) reduced mod 2 pi, the angle
-    of BoundaryPoint.from_angle, taken from rng.random() alone."""
-    rand = rng.random
-    for _ in range(1000):
-        thetas = [(TWO_PI * rand()) % TWO_PI for _ in range(count)]
-        if _least_gap(thetas) > 1e-3:
-            return [(t, cmath.exp(1j * t)) for t in thetas]
-    raise BoundaryError("could not draw separated points")
-
-
 def _word_drawer(rng: random.Random, letters):
     """draw(max_len): a reduced word of rng.randint(1, max_len) letters, each
     rng.choice(letters) and redrawn when it cancels the one before.
@@ -300,7 +357,8 @@ def _worst(check: str, samples: int, tolerance: float, attempt) -> CheckReport:
         d = attempt()
         if d is None:
             continue
-        worst = max(worst, d)
+        if d > worst:
+            worst = d
         done += 1
         if done == samples:
             return CheckReport(check, samples, worst, tolerance)
@@ -367,53 +425,49 @@ def run_all_checks(rep, seed: int = 0, samples: int = 1000) -> list[CheckReport]
             return 0.0
         return max(min(dp for dp, _ in finals), min(dm for _, dm in finals))
 
+    # A point's angle is rng.uniform(0, 2 pi) reduced mod 2 pi, the angle of
+    # BoundaryPoint.from_angle, taken from rng.random() alone.  The points of
+    # one draw are drawn again until every pair is more than 1e-3 apart.
+    rand = rng.random
+
     def cocycle():
         g1, _ = element(word(3))
         g2, _ = element(word(3))
-        q1, q2 = g1.disk, g2.disk
-        # one point has no gap to test: the draw of _separated_points(rng, 1)
-        u = cmath.exp(1j * ((TWO_PI * rng.random()) % TWO_PI))
-        gu = circle_image(q2, u)[1]
-        # B(g1 g2, u) reads only the bottom row of the product's disk matrix,
-        # so no Mat2 is built: the product's entries are the sums of
-        # Mat2.__mul__, and the top row, which is never read, is left out
-        qc, qd = disk_row(
-            CAYLEY_BOTTOM,
-            float(g1.a * g2.a + g1.b * g2.c),
-            float(g1.a * g2.b + g1.b * g2.d),
-            float(g1.c * g2.a + g1.d * g2.c),
-            float(g1.c * g2.b + g1.d * g2.d),
-        )
-        return abs(_busemann((None, None, qc, qd), u) - _busemann(q1, gu) - _busemann(q2, u))
+        # one point has no gap to test
+        return _cocycle(g1, g2, cmath.exp(1j * ((TWO_PI * rand()) % TWO_PI)))
 
     def pairing():
         # image separation enforced by rejection
         q = element(word(2))[0].disk
-        x, y = _separated_points(rng, 2)
-        gx, gy = circle_image(q, x[1]), circle_image(q, y[1])
-        if angle_gap(gx[0], gy[0]) < 1e-5:
-            return None
-        return _pairing_defect(q, x, y, gx, gy)
+        for _ in range(1000):
+            s, t = (TWO_PI * rand()) % TWO_PI, (TWO_PI * rand()) % TWO_PI
+            if angle_gap(s, t) > 1e-3:
+                return _pairing(q, s, t, 1e-5)
+        raise BoundaryError("could not draw separated points")
 
     def recovery():
         # triple-difference recovery, aux-pair independence
         q = element(word(2))[0].disk
-        pts = _separated_points(rng, 5)
-        imgs = [circle_image(q, u) for _, u in pts]
-        if _least_gap([t for t, _ in imgs]) < 1e-5:
+        for _ in range(1000):
+            thetas = (
+                (TWO_PI * rand()) % TWO_PI, (TWO_PI * rand()) % TWO_PI, (TWO_PI * rand()) % TWO_PI,
+                (TWO_PI * rand()) % TWO_PI, (TWO_PI * rand()) % TWO_PI,
+            )
+            if _least_gap(thetas) > 1e-3:
+                break
+        else:
+            raise BoundaryError("could not draw separated points")
+        k = _recovery(q, thetas, 1e-5)
+        if k is None:
             return None
-        x, y, z, y2, z2 = pts
-        gx, gy, gz, gy2, gz2 = imgs
-        r1 = _recovered(x, y, z, gx, gy, gz)
-        r2 = _recovered(x, y2, z2, gx, gy2, gz2)
-        b = _busemann(q, x[1])
+        b, r1, r2 = k
         return max(abs(r1 - b), abs(r2 - b), abs(r1 - r2))
 
     def step1():
         g = element(hyperbolic(3))[0]
         e = element(word(3))[0]
         try:
-            return step1_identity_check(lambda q: math.cos(q.theta), e, g)
+            return _step1(e.disk, *g.fixed, math.cos)
         except DegenerateConfiguration:
             return None
 

@@ -31,6 +31,7 @@ from .mobius import (
     classify,
     fixed_points,
     identity,
+    is_exact,
 )
 
 RELATOR_TOL = 1e-8
@@ -175,10 +176,14 @@ class SurfaceRep:
 
 
 def _check_unit_det(mats) -> None:
-    """FrickeError unless every matrix has det 1.  Lengths are read from
-    traces, which is right only at det 1.  The bound is relative: entries
-    printed to 17 digits lose accuracy in ad and bc, not in det."""
+    """FrickeError unless every matrix has finite entries and det 1.  Lengths
+    are read from traces, which is right only at det 1.  The bound is
+    relative: entries printed to 17 digits lose accuracy in ad and bc, not in
+    det.  An infinite entry makes the bound infinite too, so it is refused
+    first."""
     for k, m in enumerate(mats, 1):
+        if not all(is_exact(x) or math.isfinite(x) for x in m.entries()):
+            raise FrickeError(f"matrix {k} has an entry that is not finite")
         ad, bc = m.a * m.d, m.b * m.c
         if not abs(ad - bc - 1.0) <= 1e-9 * max(1.0, abs(ad), abs(bc)):
             raise FrickeError(f"matrix {k} has det {ad - bc!r}, not 1")

@@ -229,23 +229,35 @@ def disk_matrix(m: Mat2) -> tuple[complex, complex, complex, complex]:
 # `Mat2.disk`; a boundary point is its angle theta in [0, 2 pi) and its unit
 # complex u = exp(i theta).  `act`, `boundary_derivative` and
 # `BoundaryPoint.angle_dist` wrap these, and the cocycle suite calls them
-# directly on raw (theta, u) pairs.
+# directly on raw angles and unit complexes.
 # ---------------------------------------------------------------------------
+
+def circle_images(q, us) -> tuple[list[float], list[complex]]:
+    """Images of the unit complexes `us` under the disk matrix q: their
+    angles and their unit complexes, in the order of `us`."""
+    qa, qb, qc, qd = q
+    atan2, exp, two_pi = math.atan2, cmath.exp, TWO_PI
+    thetas, units = [], []
+    for u in us:
+        den = qc * u + qd
+        if abs(den) < 1e-300:
+            # image of the pole is the point at infinity of the disk map; for
+            # det-1 maps preserving the circle this is qa/qc on the circle
+            w = qa / qc
+        else:
+            w = (qa * u + qb) / den
+        w = w / abs(w)
+        theta = atan2(w.imag, w.real) % two_pi
+        thetas.append(theta)
+        units.append(exp(1j * theta))
+    return thetas, units
+
 
 def circle_image(q, u: complex) -> tuple[float, complex]:
     """Image of the unit complex u under the disk matrix q, as (angle, unit
     complex)."""
-    qa, qb, qc, qd = q
-    den = qc * u + qd
-    if abs(den) < 1e-300:
-        # image of the pole is the point at infinity of the disk map; for
-        # det-1 maps preserving the circle this is qa/qc on the circle
-        w = qa / qc
-    else:
-        w = (qa * u + qb) / den
-    w = w / abs(w)
-    theta = math.atan2(w.imag, w.real) % TWO_PI
-    return theta, cmath.exp(1j * theta)
+    (theta,), (w,) = circle_images(q, (u,))
+    return theta, w
 
 
 def circle_derivative(q, u: complex) -> float:

@@ -32,6 +32,7 @@ from speclab.mobius import (
     boundary_derivative,
     circle_derivative,
     circle_image,
+    circle_images,
     classify,
     fixed_points,
     identity,
@@ -84,8 +85,10 @@ def test_pairing_and_recovery_reject_coincident_points():
         pairing_check(g, x, y)
     with pytest.raises(CoincidentPoints):
         recover_cocycle_from_C(g, x, _pt(2.5), y)
-    # the raw cross term tests no floor: run_all_checks separates its points
-    assert boundary._cross((x.theta, x.u), (y.theta, y.u)) > 0
+    # the raw kernels test no floor on the points: run_all_checks separates
+    # its points when it draws them
+    assert boundary._pairing(g.disk, x.theta, y.theta, 0.0) >= 0.0
+    assert len(boundary._recovery(g.disk, (x.theta, 2.5, y.theta), 0.0)) == 2
 
 
 def test_cocycle_identity_random():
@@ -301,32 +304,36 @@ def test_run_all_checks_evaluates_each_word_once(rank, words, samples, monkeypat
     assert len(calls) == len(set(calls)) <= words
 
 
+def _coincident_images(q, us):
+    # every point has one image
+    return [1.0] * len(us), [cmath.exp(1j)] * len(us)
+
+
 def test_rejection_cap_pairing(monkeypatch):
     # every image coincides, so the pairing check rejects every draw
-    monkeypatch.setattr(boundary, "circle_image", lambda q, u: (1.0, cmath.exp(1j)))
+    monkeypatch.setattr(boundary, "circle_images", _coincident_images)
     with pytest.raises(BoundaryError, match=r"^pairing_identity: 400 of 400 draws rejected"):
         run_all_checks(REP, seed=3, samples=4)
 
 
 def test_rejection_cap_step1(monkeypatch):
-    def degenerate(phi, eta, gamma):
+    def degenerate(q, gp, gm, phi):
         raise DegenerateConfiguration("always")
 
-    monkeypatch.setattr(boundary, "step1_identity_check", degenerate)
+    monkeypatch.setattr(boundary, "_step1", degenerate)
     with pytest.raises(BoundaryError, match=r"^step1_coboundary_identity: 400 of 400 draws"):
         run_all_checks(REP, seed=3, samples=4)
 
 
 def test_rejection_cap_c_recovery(monkeypatch):
-    # five coincident points have coincident images, so C-recovery rejects
-    # every draw; the pairing check's 2-point draws stay as they are
-    separated = boundary._separated_points
+    # the five images of a C-recovery draw coincide, so it rejects every
+    # draw; the 1- and 2-point images of the other checks stay as they are
+    images = boundary.circle_images
 
-    def coincident(rng, count):
-        pts = separated(rng, count)
-        return [(1.0, cmath.exp(1j))] * count if count == 5 else pts
+    def coincident(q, us):
+        return _coincident_images(q, us) if len(us) == 5 else images(q, us)
 
-    monkeypatch.setattr(boundary, "_separated_points", coincident)
+    monkeypatch.setattr(boundary, "circle_images", coincident)
     with pytest.raises(BoundaryError, match=r"^c_determines_cocycle: 400 of 400 draws rejected"):
         run_all_checks(REP, seed=3, samples=4)
 
@@ -502,13 +509,24 @@ def _reference_checks(rep, seed, samples):
     [
         (lambda: schottky_sample(11, 3), 11, 300),
         (lambda: schottky_sample(12, 4), 12, 300),
+        # the bench's rank, at two of its rep seeds
+        (lambda: schottky_sample(288545018, 2), 288545018, 300),
+        (lambda: schottky_sample(135520872, 2), 135520872, 300),
         (modular_torus_rep, 13, 300),
         (lambda: punctured_torus_sample(3), 3, 300),
         # cocycle_identity and antisymmetry_at_poles fail here on float
         # limits, with defects near their tolerances
         (lambda: schottky_sample(1, 6), 1, 50),
     ],
-    ids=["schottky-rank3", "schottky-rank4", "modular-torus", "punctured-torus", "schottky-rank6"],
+    ids=[
+        "schottky-rank3",
+        "schottky-rank4",
+        "schottky-rank2-a",
+        "schottky-rank2-b",
+        "modular-torus",
+        "punctured-torus",
+        "schottky-rank6",
+    ],
 )
 def test_run_all_checks_matches_object_level_reference(make_rep, seed, samples):
     rep = make_rep()
@@ -565,10 +583,14 @@ def test_wrappers_equal_the_float_kernels():
     angles += [0.0, 1e-12, math.pi, 2.0 * math.pi - 1e-12]
     for m in mats:
         q = m.disk
-        for t in angles:
+        # the many-point kernel maps all the angles at once, point by point
+        # as the one-point wrappers do
+        thetas, units = circle_images(q, [_pt(t).u for t in angles])
+        for t, many_theta, many_u in zip(angles, thetas, units):
             xi = _pt(t)
             assert xi.u == cmath.exp(1j * xi.theta) and xi.u is xi.u
             theta, u = circle_image(q, xi.u)
+            assert (many_theta, many_u) == (theta, u)
             image = act(m, xi)
             assert (image.theta, image.u) == (theta, u)
             assert boundary_derivative(m, xi) == circle_derivative(q, xi.u)

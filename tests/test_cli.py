@@ -129,7 +129,7 @@ def test_rmin_needs_two_nontrivial_words(words, message, capsys):
 
 def test_cocycle_verify_rejection_cap_is_input_error(monkeypatch, capsys):
     # every image coincides, so the pairing check rejects every draw
-    monkeypatch.setattr(boundary, "circle_image", lambda q, u: (1.0, cmath.exp(1j)))
+    monkeypatch.setattr(boundary, "circle_images", lambda q, us: ([1.0] * len(us), [cmath.exp(1j)] * len(us)))
     assert main(["cocycle-verify", "--seed", "7", "--samples", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -256,6 +256,20 @@ def test_rep_file_with_integer_det_two_generators_is_input_error(tmp_path, capsy
     assert main(["spectrum", "--rep-file", rep, "--maxlen", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: matrix 2 has det 2.0, not 1\n" and captured.out == ""
+
+
+# each entry as it is written in the file: strings, and the JSON number 1e400
+@pytest.mark.parametrize("entry", ['"1e400"', '"inf"', '"-inf"', "1e400"])
+def test_rep_file_with_non_finite_entry_is_input_error(tmp_path, capsys, entry):
+    # these once loaded as inf and printed "inf" lengths with exit 0
+    path = tmp_path / "inf.json"
+    path.write_text(
+        '{"genus": 1, "punctures": 1, "matrices": [[%s, "0", "0", "1"], [2, 0, 0, 0.5], [1, 1, 1, 2]]}'
+        % entry
+    )
+    assert main(["spectrum", "--rep-file", str(path), "--maxlen", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: matrix 1 has an entry that is not finite\n" and captured.out == ""
 
 
 def test_compare_rejects_malformed_other(tmp_path, capsys):

@@ -194,6 +194,22 @@ def test_rep_from_json_rejects_boolean_entries():
         rep_from_json(json.dumps(doc))
 
 
+# each entry as it is written in the file: strings, and the JSON number 1e400
+@pytest.mark.parametrize("entry", ['"1e400"', '"inf"', '"-inf"', "1e400", '"nan"'])
+def test_rep_from_json_rejects_non_finite_entries(entry):
+    # an infinite entry made the relative det bound infinite, so it passed
+    text = '{"genus": 1, "punctures": 1, "matrices": [[%s, 0, 0, 1], [2, 0, 0, 0.5], [2, 0, 0, 0.5]]}'
+    with pytest.raises(FrickeError, match="matrix 1 has an entry that is not finite"):
+        rep_from_json(text % entry)
+
+
+@pytest.mark.parametrize("entry", [float("inf"), float("-inf"), float("nan")])
+def test_free_rep_rejects_non_finite_entries(entry):
+    mats = [Mat2(2, 1, 1, 1), Mat2(1, 1, entry, 2)]
+    with pytest.raises(FrickeError, match="matrix 2 has an entry that is not finite"):
+        SurfaceRep.free_rep(mats)
+
+
 def test_forged_certificate_is_not_trusted():
     # the modular torus's isometric circles overlap: no certificate exists
     doc = json.loads(rep_to_json(modular_torus_rep()))
