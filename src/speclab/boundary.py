@@ -35,9 +35,9 @@ import cmath
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
 from functools import cache
 from math import log
+from typing import NamedTuple
 
 from . import surface_group as sg
 from .mobius import (
@@ -298,8 +298,7 @@ def pullback_potential(h: Mat2, y: BoundaryPoint, z: BoundaryPoint):
     return phi
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     check: str
     samples: int
     max_defect: float
@@ -310,7 +309,7 @@ class CheckReport:
         return self.max_defect < self.tolerance
 
     def to_json(self) -> str:
-        return json.dumps({**asdict(self), "pass": self.passed}, sort_keys=True)
+        return json.dumps({**self._asdict(), "pass": self.passed}, sort_keys=True)
 
 
 def _word_drawer(rng: random.Random, letters):

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import surface_group as sg
 from .fricke import SurfaceRep
@@ -345,8 +345,7 @@ def random_exact_rep(m: int, rng: random.Random):
     return SurfaceRep.free_rep(mats)
 
 
-@dataclass(frozen=True)
-class RminVerdict:
+class RminVerdict(NamedTuple):
     kind: str  # "equal" | "probably_equal" | "distinct"
 
     EQUAL = "equal"

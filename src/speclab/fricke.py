@@ -20,9 +20,8 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import surface_group as sg
 from .mobius import (
@@ -57,16 +56,16 @@ class SamplingFailed(FrickeError):
     pass
 
 
-@dataclass(frozen=True)
-class FrickeVector:
+class FrickeVector(
+    NamedTuple("FrickeVector", [("genus", int), ("punctures", int), ("values", tuple)])
+):
     """Point of R^(6g-6+2n): handle coordinates then puncture coordinates."""
 
-    genus: int
-    punctures: int
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        g, n = self.genus, self.punctures
+    def __new__(cls, genus: int, punctures: int, values: tuple):
+        self = super().__new__(cls, genus, punctures, values)
+        g, n = genus, punctures
         if g < 1:
             raise FrickeError(f"need genus >= 1 (first handle pair), got {g}")
         if n < 1:
@@ -83,6 +82,7 @@ class FrickeVector:
         for j in range(1, n + 1):
             if self.puncture(j)[1] == 0:
                 raise FrickeError("puncture coordinates need g_j != 0")
+        return self
 
     def handle(self, i: int):
         """(a_i, c_i, d_i, a'_i, c'_i, d'_i) for 2 <= i <= genus."""
@@ -95,8 +95,7 @@ class FrickeVector:
         return self.values[off : off + 2]
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     relator_defect: float
     all_hyperbolic_or_parabolic: bool
     punctures_parabolic: bool
@@ -119,12 +118,10 @@ class ValidityReport:
         }
 
 
-@dataclass(frozen=True)
-class SurfaceRep:
+class SurfaceRep(
+    NamedTuple("SurfaceRep", [("presentation", sg.Presentation), ("matrices", tuple)])
+):
     """Presentation plus one matrix per presentation generator."""
-
-    presentation: sg.Presentation
-    matrices: tuple
 
     @cached_property
     def validity(self) -> ValidityReport:
@@ -198,7 +195,12 @@ def ping_pong_certificate(mats) -> tuple | None:
     for m in mats:
         if m.c == 0:
             return None
-        c = Fraction(m.c) if m.exact() else m.c
+        if m.exact():
+            from fractions import Fraction  # loaded only by exact reps
+
+            c = Fraction(m.c)
+        else:
+            c = m.c
         r = 1 / abs(c)
         rows.append((-m.d / c, r, m.a / c, r))
     disks = [(p, r) for p, r, _, _ in rows] + [(q, r) for _, _, q, r in rows]

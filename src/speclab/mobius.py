@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from numbers import Rational
+from typing import NamedTuple
 
 EPS = 1e-9
 
@@ -46,14 +46,9 @@ class IsometryClass(Enum):
     ELLIPTIC = "elliptic"
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Unit-determinant 2x2 matrix, row-major (a b / c d)."""
-
-    a: object
-    b: object
-    c: object
-    d: object
+class Mat2(NamedTuple("Mat2", [("a", object), ("b", object), ("c", object), ("d", object)])):
+    """Unit-determinant 2x2 matrix, row-major (a b / c d).  No __slots__: the
+    cached properties below keep their values in the instance __dict__."""
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -169,11 +164,8 @@ def _circle_to_real(u: complex) -> float:
     return z.real
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple("BoundaryPoint", [("theta", float)])):
     """Point of the circle at infinity, stored as a disk-model angle."""
-
-    theta: float
 
     @classmethod
     def from_angle(cls, theta: float) -> "BoundaryPoint":

@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from . import characters, surface_group as sg
 from .fricke import SamplingFailed, SurfaceRep, schottky_sample
@@ -27,8 +27,7 @@ class ClassSetMismatch(SpectrumError):
     pass
 
 
-@dataclass(frozen=True)
-class LengthSpectrum:
+class LengthSpectrum(NamedTuple):
     """Class -> (|trace|, length); exact traces kept for rational reps."""
 
     classes: tuple
@@ -69,17 +68,12 @@ def spectrum(rep: SurfaceRep, maxlen: int, program=None) -> LengthSpectrum:
     return LengthSpectrum(tuple(classes), tuple(traces), tuple(lengths), rep.digest(), exact)
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """Partition of a class tuple into equal-length blocks.
+class Pattern(NamedTuple("Pattern", [("classes", tuple), ("order", array), ("ends", array)])):
+    """Partition of a class tuple (of ConjClassKey) into equal-length blocks.
 
     The blocks are kept flat, as positions into `classes`: `order` holds
     every position once, block by block, and block k ends at `ends[k]`;
-    no block is empty."""
-
-    classes: tuple  # of ConjClassKey
-    order: array
-    ends: array
+    no block is empty.  Unhashable, as its arrays are."""
 
     @classmethod
     def from_blocks(cls, classes: tuple, blocks) -> "Pattern":

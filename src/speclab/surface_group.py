@@ -10,7 +10,6 @@ by the least rotation of a cyclically reduced word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -27,22 +26,19 @@ class EmptyWord(WordError):
     pass
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple("Presentation", [("genus", int), ("punctures", int)])):
     """Genus-g surface with n punctures; generators a_i, b_i (i<=g), g_j (j<=n)."""
 
-    genus: int
-    punctures: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError(f"need genus >= 0, got {self.genus}")
-        if self.punctures < 1:
-            raise ValueError(f"need punctures >= 1 (no closed surfaces), got {self.punctures}")
-        if 2 * self.genus + self.punctures < 3:
-            raise ValueError(
-                f"need 2g + n >= 3 (free rank >= 2), got (g,n)=({self.genus},{self.punctures})"
-            )
+    def __new__(cls, genus: int, punctures: int):
+        if genus < 0:
+            raise ValueError(f"need genus >= 0, got {genus}")
+        if punctures < 1:
+            raise ValueError(f"need punctures >= 1 (no closed surfaces), got {punctures}")
+        if 2 * genus + punctures < 3:
+            raise ValueError(f"need 2g + n >= 3 (free rank >= 2), got (g,n)=({genus},{punctures})")
+        return super().__new__(cls, genus, punctures)
 
     @classmethod
     def free(cls, m: int) -> "Presentation":
