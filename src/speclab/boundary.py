@@ -9,24 +9,10 @@ With these signs the pairing identity
 is an algebraic identity of Mobius maps, verified here numerically.
 
 Each draw kind of `run_all_checks` (cocycle, pairing, C-recovery, step 1)
-has one raw kernel on angles or unit complexes and disk matrices.  A kernel
-maps all of its draw's points through the disk matrix in one call of the
-many-point image kernel of `mobius` (`circle_images`, which `circle_image`
-and `act` wrap) and sums the draw's terms in local variables, with the
-operands and the order of `busemann` and `cross_term`, so every defect and
-every rejection is the same float as on BoundaryPoints.  `pairing_check`,
-`recover_cocycle_from_C` and `step1_identity_check` take BoundaryPoints and
-wrap the same kernels; the first two raise CoincidentPoints when two of
-their points, or two images, are closer than SEPARATION_FLOOR.  The kernels
-test no floor on the points: `run_all_checks` draws its points more than
-1e-3 apart and rejects images closer than 1e-5.  Those tests, and the floor,
-read the least gap of all pairs off the sorted neighbours and the wrap arc
-(`_least_gap`).  It draws its words with the same random bits as
-`randint`/`choice`, reading each letter from a table of all the draws of its
-bit width (`_word_drawer`).  B reads only the bottom row (q_c, q_d) of a disk
-matrix, so the cocycle kernel builds no Mat2 for g1 g2: it forms the
-product's four entries inline and only that row of its disk matrix
-(`disk_row`).
+has one raw kernel, described above `_cocycle`.  The kernels test no floor
+on the points; `pairing_check` and `recover_cocycle_from_C` wrap them and
+raise CoincidentPoints when two of their points, or two images, are closer
+than SEPARATION_FLOOR.
 """
 
 from __future__ import annotations

@@ -261,13 +261,7 @@ class _Rewriter:
                 q = k - p
                 U = rot[1:q]
                 V = rot[q + 1 :]
-                get = out.get
-                left = self._child(w, (i,) + U).terms
-                right = self._child(w, (i,) + V).terms
-                for m1, c1 in left.items():
-                    for m2, c2 in right.items():
-                        key = m1 + m2
-                        out[key] = get(key, 0) + c1 * c2
+                _add_shifted(out, self._child(w, (i,) + U) * self._child(w, (i,) + V), 1)
                 _add_shifted(out, self._child(w, V + sg.invert(U)), -1)
                 return TracePoly(out)
             positions[i] = k

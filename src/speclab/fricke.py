@@ -446,14 +446,10 @@ def punctured_torus_sample(seed: int) -> SurfaceRep:
     c1 = ((a1 - d1) + math.sqrt(disc2)) / 2.0
     b1 = c1 + d1 - a1
     beta = Mat2(a1, b1, c1, d1)
-    comm = alpha * beta * alpha.inverse() * beta.inverse()
-    gamma = -comm.inverse()
-    rep = SurfaceRep(sg.Presentation(genus=1, punctures=1), (alpha, beta, gamma))
-    if (
-        abs(float(beta.det()) - 1.0) > 1e-9
-        or abs(float(gamma.tr()) - 2.0) > 1e-8
-        or not rep.validity.valid
-    ):
+    if abs(float(beta.det()) - 1.0) > 1e-9:
+        raise SamplingFailed(f"punctured-torus draw at seed {seed} fails a rounding check")
+    rep = SurfaceRep.free_rep([alpha, beta])
+    if abs(float(rep.matrices[2].tr()) - 2.0) > 1e-8 or not rep.validity.valid:
         raise SamplingFailed(f"punctured-torus draw at seed {seed} fails a rounding check")
     return rep
 

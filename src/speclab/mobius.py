@@ -219,9 +219,10 @@ def disk_matrix(m: Mat2) -> tuple[complex, complex, complex, complex]:
 # ---------------------------------------------------------------------------
 # Float kernels of the boundary action.  A disk matrix q is the tuple of
 # `Mat2.disk`; a boundary point is its angle theta in [0, 2 pi) and its unit
-# complex u = exp(i theta).  `act`, `boundary_derivative` and
-# `BoundaryPoint.angle_dist` wrap these, and the cocycle suite calls them
-# directly on raw angles and unit complexes.
+# complex u = exp(i theta).  Three one-point wrappers remain: `act` over
+# `circle_images`, `boundary_derivative` over `circle_derivative` and
+# `BoundaryPoint.angle_dist` over `angle_gap`.  The cocycle suite calls the
+# kernels directly on raw angles and unit complexes.
 # ---------------------------------------------------------------------------
 
 def circle_images(q, us) -> tuple[list[float], list[complex]]:
@@ -245,13 +246,6 @@ def circle_images(q, us) -> tuple[list[float], list[complex]]:
     return thetas, units
 
 
-def circle_image(q, u: complex) -> tuple[float, complex]:
-    """Image of the unit complex u under the disk matrix q, as (angle, unit
-    complex)."""
-    (theta,), (w,) = circle_images(q, (u,))
-    return theta, w
-
-
 def circle_derivative(q, u: complex) -> float:
     """Conformal derivative 1/|q_c u + q_d|^2 of the disk matrix q at u."""
     den = abs(q[2] * u + q[3])
@@ -267,7 +261,7 @@ def angle_gap(s: float, t: float) -> float:
 
 def act(m: Mat2, xi: BoundaryPoint) -> BoundaryPoint:
     """Fractional-linear action on the circle."""
-    return BoundaryPoint(circle_image(m.disk, xi.u)[0])
+    return BoundaryPoint(circle_images(m.disk, (xi.u,))[0][0])
 
 
 def boundary_derivative(m: Mat2, xi: BoundaryPoint) -> float:

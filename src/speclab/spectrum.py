@@ -156,7 +156,9 @@ def subrelation(p1: Pattern, p2: Pattern):
 def rmin_pattern(classes, m: int) -> Pattern:
     """Partition by provable character-polynomial equality up to sign: the
     blocks of `characters.rmin_pairs`, without its flags.  A class given
-    twice raises ValueError."""
+    twice raises ValueError.  rmin_pairs' contract holds here unchecked:
+    each class must be a cyclically reduced least rotation, and at m = 2 a
+    bad key merges with its reverse."""
     classes = tuple(classes)
     position = {}
     for i, key in enumerate(classes):
