@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, compress
+from operator import neg
 from typing import NamedTuple
 
 from . import surface_group as sg
@@ -347,13 +348,51 @@ class RminVerdict(NamedTuple):
     DISTINCT = "distinct"
 
 
+_squares: dict[int, TracePoly] = {}  # 3-letter mask S -> t_S^2 reduced
+
+
+def _square(mask: int) -> TracePoly:
+    """s t_S - q, which equals t_S^2 for the 3-letter subset S = {a, b, c}:
+    t_S = tr(abc) and tr(acb) are the roots of t^2 - s t + q, with
+        s = t_a t_bc + t_b t_ac + t_c t_ab - t_a t_b t_c,
+        q = t_a^2 + t_b^2 + t_c^2 + t_bc^2 + t_ac^2 + t_ab^2
+            + t_bc t_ac t_ab - t_b t_c t_bc - t_a t_c t_ac - t_a t_b t_ab - 4."""
+    sq = _squares.get(mask)
+    if sq is None:
+        bits = [1 << b for b in range(mask.bit_length()) if mask >> b & 1]
+        x = [TracePoly.var(b) for b in bits]  # t_a, t_b, t_c
+        y = [TracePoly.var(mask ^ b) for b in bits]  # t_bc, t_ac, t_ab
+        s = -(x[0] * x[1] * x[2])
+        q = y[0] * y[1] * y[2] + TracePoly.const(-4)
+        for a in range(3):
+            s += x[a] * y[a]
+            q += x[a] * x[a] + y[a] * y[a] + -(x[a - 1] * x[a - 2] * y[a])
+        sq = _squares[mask] = s * TracePoly.var(mask) + -q
+    return sq
+
+
 def rmin_key(p: TracePoly) -> tuple:
     """The one R_min key: P and -P share it, and nothing else does.
 
-    Z[t_S] is an integral domain, so P1^2 = P2^2 exactly when P1 = +-P2; the
-    key is the term tuple of P sorted by monomial, negated when its first
-    coefficient is negative."""
-    terms = sorted(p.terms.items())
+    P is first reduced by t_S^2 = s t_S - q (_square) until every 3-letter
+    t_S has degree <= 1.  The relations hold at every rank.  At rank 3 the
+    character ring is Z[t1, .., t23][t123] / (t123^2 - s t123 + q), monic in
+    t123 (Horowitz, CPAM 25, 1972; Magnus, Math. Z. 170, 1980), so the
+    reduced P is a normal form there; at rank >= 4 it need not be.  That
+    ring is an integral domain, so P1^2 = P2^2 exactly when P1 = +-P2; the
+    key is the term tuple of the reduced P sorted by monomial, negated when
+    its first coefficient is negative."""
+    terms = p.terms
+    for mask, shift in [(mask, shift) for mask, shift in _shift_of.items() if mask.bit_count() == 3]:
+        while any(mono >> shift & _FIELD_MASK > 1 for mono in terms):
+            out: dict[Monomial, int] = {}
+            for mono, c in terms.items():
+                if mono >> shift & _FIELD_MASK > 1:  # rest t_S^2 -> rest (s t_S - q)
+                    _add_shifted(out, _square(mask), c, mono - (2 << shift))
+                else:
+                    out[mono] = out.get(mono, 0) + c
+            terms = out
+    terms = sorted((mono, c) for mono, c in terms.items() if c)
     if terms and terms[0][1] < 0:
         return tuple((mono, -c) for mono, c in terms)
     return tuple(terms)
@@ -367,12 +406,13 @@ def _colliding(live, group) -> list:
 
 def _split(live, group, traces) -> tuple[list, bool]:
     """Split the groups of the positions in live by |tr| at one rep, in
-    place; traces are in live's order.  The positions that still share a
-    group, and whether any group split."""
+    place; traces are in live's order.  Whether each position in live
+    still shares a group, in live's order, and whether any group split."""
     ids: dict[tuple, int] = {}
     for i, t in zip(live, traces):
         group[i] = ids.setdefault((group[i], abs(t)), len(ids))
-    return _colliding(live, group), len(ids) > len({g for g, _ in ids})
+    seen = Counter(group[i] for i in live)
+    return [seen[group[i]] > 1 for i in live], len(ids) > len({g for g, _ in ids})
 
 
 def _class_at(w: sg.Word, pos: dict, letters):
@@ -398,23 +438,26 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
 
     tr rho(w) = P_w(characters of rho) exactly at an integer rep, so |tr| of
     a word there is |P| of its key +-P, and one rep where |tr| differs
-    proves two memo keys lie in different blocks.  Reps are drawn from one
-    seeded stream, n_reps at most, in two phases on the same memo-key
-    positions:
+    proves two memo keys lie in different blocks.
 
-    1. Memo keys are grouped by |tr| of their first class until a rep
-       splits no group.  A rep at which every key still grouped has
+    A class and its inverse share a memo key.  At rank 2 a key and the key
+    of its reverse share a block with no rewrite: (A, B) -> (A^-1, B^-1)
+    fixes t1, t2 and t12, and Z[t1, t2, t12] is the whole character ring
+    of F2, so P_reverse(w) = P_(w letterwise inverted) = P_w exactly.  Such
+    a reversal orbit takes the lower position of its keys, which stands
+    for it below.  (At rank 3 the map swaps t123 and t132, and abc, cba are
+    distinct.)  Reps are then drawn from one seeded stream, n_reps at most,
+    in two phases on the same memo-key positions:
+
+    1. The orbits are grouped by |tr| of their first class until a rep
+       splits no group; each rep after the first reads only the orbits
+       still grouped.  A rep at which every orbit still grouped has
        |tr| = 2, as the identity and commuting unipotents give, is no
-       such rep: ending there would leave all those keys to be rewritten.
-       A key alone in its group is its own block, with no rewrite; only
-       the keys that share a group are rewritten to their R_min keys, and
-       each is labelled with its block's first position.
-       At rank 2 a key first takes the lower position of its reversal
-       orbit, and only orbits that share a group with another orbit are
-       rewritten, once per orbit.  (A, B) -> (A^-1, B^-1) fixes t1, t2 and
-       t12, and Z[t1, t2, t12] is the whole character ring of F2, so
-       P_reverse(w) = P_(w letterwise inverted) = P_w exactly.  At rank 3
-       the map swaps t123 and t132, and abc, cba are distinct.
+       such rep: ending there would leave all of them to be rewritten.
+       An orbit alone in its group is its own block, with no rewrite;
+       only the orbits that share a group are rewritten to their R_min
+       keys (rmin_key), and each is labelled with its block's first
+       position.
     2. Labels that still agree at every rep so far draw the further reps,
        while two labels agree, each evaluated on those labels only.
 
@@ -430,8 +473,7 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     by _class_at in a word -> position dict of the list, and a class whose
     inverse class is missing is keyed by rotating its inverse.  So a bad
     key such as ConjClassKey((2, 1)) is merged with its reverse (1, 2) at
-    rank 2 and ends in a RuntimeError from the rewriter at rank 3.  A
-    class and its inverse share a memo key, found once."""
+    rank 2 and ends in a RuntimeError from the rewriter at rank 3."""
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     rw = _rewriter(m)
@@ -440,77 +482,80 @@ def rmin_pairs(classes, m: int, seed: int = 0, n_reps: int = 16):
     pos = dict(zip(words, range(len(words))))  # class word -> position
     letters = [x for k in range(1, m + 1) for x in (k, -k)]
     negs = letters[1::2]
-    keyed = []  # memo key of each class
-    first: dict[sg.Word, object] = {}  # memo key -> its first class
-    for w, cls in zip(words, classes):
-        key = w
-        neg = sum(map(w.count, negs))
-        if 2 * neg >= len(w):  # the key may be the inverse class's word
-            j = _class_at(sg.invert(w), pos, letters)
+    index: dict[sg.Word, int] = {}  # memo key -> its position, first seen first
+    firsts = []  # the first class of each memo key
+    keyed = [None] * len(words)  # the memo-key position of each class
+    for c, w in enumerate(words):
+        if keyed[c] is not None:  # found from its inverse class
+            continue
+        key, j = w, None
+        n = len(w) - 2 * sum(map(w.count, negs))
+        if n <= 0:  # the key may be the inverse class's word
+            j = _class_at(tuple(map(neg, reversed(w))), pos, letters)
             if j is None:
                 key = _class_trace_key(w)
-            elif 2 * neg > len(w) or sg.letter_code(words[j]) < sg.letter_code(w):
+            elif n or sg.letter_code(words[j]) < sg.letter_code(w):
                 key = words[j]
-        if key not in first:
-            first[key] = cls
-        keyed.append(key)
-    keys = list(first)
+        k = keyed[c] = index.setdefault(key, len(index))
+        if k == len(firsts):
+            firsts.append(classes[c])
+        if n == 0 and j is not None:  # a tie: the inverse class has this key too
+            keyed[j] = k
+    keys = list(index)
     rw.check(set().union(*keys))  # before any key reaches a rep or the memo
-    rng = random.Random(seed)
-    drawn = 0
-    # 1. group memo keys by |tr| until a rep splits no group; a rep that
-    # gives every live key |tr| 2 tells none apart and does not end it
-    group = [0] * len(keys)
-    live, split = _colliding(range(len(keys)), group), True
-    program = sg.compile_classes(first.values())
-    while live and split and drawn < n_reps:
-        traces = program.traces(random_exact_rep(m, rng))
-        drawn += 1
-        traces = [traces[i] for i in live]
-        if any(abs(t) != 2 for t in traces):
-            live, split = _split(live, group, traces)
-    del program  # the rewrites below grow the memo; free the tree first
     # a key's label is the position of the first key of its block, so an
     # R_min key is held once per block, not once per key
     label = list(range(len(keys)))
     if m == 2:
-        # a key and the key of its reverse share a block (step 1 above):
-        # both take the lower position, and only that one may be rewritten.
-        # The reverse's key is its class's, or that class's inverse's; live
-        # ascends, so a key labelled lower was labelled by its partner
-        at = {key: i for i, key in enumerate(keys)}
-        for i in live:
-            if label[i] < i:
-                continue
-            rev = keys[i][::-1]
-            j = _class_at(rev, pos, letters)
-            if j is None:
-                j = _class_at(sg.invert(rev), pos, letters)
-            if j is not None:
-                k = at[keyed[j]]
-                label[k] = label[i] = min(i, k)
+        # a key and the key of its reverse share a block: both take the
+        # lower position.  The reverse's key is its class's, or that class's
+        # inverse's; keys ascend, so a key labelled lower was labelled by
+        # its partner
+        for i, key in enumerate(keys):
+            if label[i] == i:
+                j = _class_at(key[::-1], pos, letters)
+                if j is None:
+                    j = _class_at(tuple(map(neg, key)), pos, letters)
+                if j is not None:
+                    k = keyed[j]
+                    label[k] = label[i] = min(i, k)
+    rng = random.Random(seed)
+    drawn = 0
+    # 1. group orbits by |tr| until a rep splits no group; a rep that gives
+    # every live orbit |tr| 2 tells none apart and does not end it
+    group = [0] * len(keys)
+    live, split = _colliding([i for i, at in enumerate(label) if at == i], group), True
+    program = sg.compile_classes([firsts[i] for i in live])
+    while live and split and drawn < n_reps:
+        traces = program.traces(random_exact_rep(m, rng))
+        drawn += 1
+        if any(abs(t) != 2 for t in traces):
+            keep, split = _split(live, group, traces)
+            live = list(compress(live, keep))
+            program = program._replace(leaves=tuple(compress(program.leaves, keep)))
+    del program  # the rewrites below grow the memo; free the tree first
     label_at: dict[tuple, int] = {}  # R_min key -> label
-    for i in _colliding([i for i in live if label[i] == i], group):
+    for i in live:
         label[i] = label_at.setdefault(rmin_key(rw.keyed(keys[i])), i)
-    for i in live:  # each key takes its orbit's label
-        label[i] = label[label[i]]
+    for i, at in enumerate(label):  # each key takes its orbit's label
+        label[i] = label[at]
     # 2. the same stream, while two labels agree at every rep so far; a
-    # label keeps its keys' phase-1 group, as they agree in |tr| at any rep
+    # label keeps its orbit's phase-1 group, as they agree in |tr| at any rep
     live = _colliding(sorted({label[i] for i in live}), group)
     while len(live) > 1 and drawn < n_reps:
         rep = random_exact_rep(m, rng)
         drawn += 1
-        live, _ = _split(live, group, sg.compile_classes([first[keys[i]] for i in live]).traces(rep))
+        keep, _ = _split(live, group, sg.compile_classes([firsts[i] for i in live]).traces(rep))
+        live = list(compress(live, keep))
     # live ascends, so groups come in the order of their first block
     groups: dict[int, list] = {}
     for i in live:
-        groups.setdefault(group[i], []).append(first[keys[i]])
+        groups.setdefault(group[i], []).append(firsts[i])
     flagged = [pair for g in groups.values() for pair in combinations(g, 2)]
-    # classes grouped by label; labels ascend, as blocks come first-seen
-    blocks: dict[int, list] = {}
-    block_of = {key: blocks.setdefault(at, []) for key, at in zip(keys, label)}
-    for key, cls in zip(keyed, classes):
-        block_of[key].append(cls)
+    # a block's label is its least position, so blocks ascend by label
+    blocks = {i: [] for i, at in enumerate(label) if at == i}
+    for k, cls in zip(keyed, classes):
+        blocks[label[k]].append(cls)
     return [tuple(v) for v in blocks.values()], flagged
 
 

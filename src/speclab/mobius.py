@@ -58,6 +58,12 @@ class Mat2(NamedTuple("Mat2", [("a", object), ("b", object), ("c", object), ("d"
             self.c * other.b + self.d * other.d,
         )
 
+    def __add__(self, other):
+        # tuple + and k * would concatenate or repeat the entries
+        raise TypeError("a Mat2 has no sum or scalar multiple; the matrix product is m1 * m2")
+
+    __radd__ = __rmul__ = __add__
+
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 

@@ -447,8 +447,7 @@ def test_rmin_pattern_matches_per_class_trace_poly(monkeypatch, m, maxlen):
         monkeypatch.setattr(characters, "_rewriters", {})
         assert pattern_blocks(rmin_pattern(classes, m)) == tuple(map(tuple, expected.values())), name
         # only keys that no rep told apart are rewritten, to the same
-        # polynomials, so rank >= 3 keeps its representatives modulo the
-        # t123 relation
+        # polynomials; the memo keeps them unreduced, as trace_poly gives them
         assert characters._rewriters[m].memo.items() <= oracle_memo.items(), name
         # a rewrite child that is a memo key is looked up without canonicalizing
         assert all(_canonical_trace_key(k) == k for k in oracle_memo), name
@@ -586,8 +585,9 @@ def test_rewrite_guard_matches_measure_tuples():
 
 # -- rmin_test is rmin_pairs on two classes ------------------------------------
 
-# rank-3 pairs whose polynomials differ but whose |tr| agree at every sampled
-# rep (ROADMAP "F5"); the relation modulo the t123 relation will decide them
+# rank-3 pairs whose rewritten polynomials differ, but only by a multiple of
+# the t123 relation, so their |tr| agree at every rep (ROADMAP "F5");
+# rmin_key reduces each pair to one key
 F5_PAIRS = [("abAcAcBC", "abAcBCaC"), ("abcABCaC", "abcAcABC"), ("aBcAbCaC", "aBcAcAbC")]
 
 
@@ -647,19 +647,20 @@ def test_reps_are_drawn_until_a_rep_splits_no_key_group_then_while_blocks_agree(
     assert rmin_test((1, 2), (1, -2), 2, seed=0).kind == RminVerdict.DISTINCT
     assert len(draws) == 1
     del draws[:]
-    # two memo keys in one block: the first rep splits nothing, and the
-    # rewrite finds one block
+    # two memo keys, each the other's reverse: one reversal orbit, one
+    # block, and nothing to tell apart
     assert rmin_test((1, 1, 2, 1, -2), (1, 1, -2, 1, 2), 2, seed=0).kind == RminVerdict.EQUAL
-    assert len(draws) == 1
-    del draws[:]
-    # the third rep splits no group of keys, and no two blocks agree then
+    assert len(draws) == 0
+    # the second rep splits no group of orbits, and no two blocks agree then
+    # (3 reps when phase 1 grouped every memo key, reversal partners included)
     partition, flagged = rmin_pairs(sg.enumerate_classes(F2, 5), 2, seed=1)
     assert len(partition) == 47 and not flagged
-    assert len(draws) == 3
+    assert len(draws) == 2
     del draws[:]
-    # one rep leaves the two keys together, and their two blocks draw the rest
-    assert rmin_test(*_f5_words(F5_PAIRS[0]), 3).kind == RminVerdict.PROBABLY_EQUAL
-    assert len(draws) == 16
+    # two rank-3 memo keys in one block: the first rep splits nothing, and
+    # the rewrite modulo the t123 relation finds one block
+    assert rmin_test(*_f5_words(F5_PAIRS[0]), 3).kind == RminVerdict.EQUAL
+    assert len(draws) == 1
 
 
 # -- fingerprints before rewrites, against the rewrite-first order -------------
@@ -702,8 +703,8 @@ def test_rmin_pairs_matches_rewrite_first_oracle(monkeypatch, m, maxlen):
             assert got == _rewrite_first_pairs(classes, m, seed, n_reps), (name, seed, n_reps)
             # the classes are read in one pass, so a one-shot iterator will do
             assert rmin_pairs(iter(classes), m, seed=seed, n_reps=n_reps) == got, (name, seed, n_reps)
-            if name == "f5" and n_reps == 16:
-                assert len(got[0]) == 6 and len(got[1]) == 3
+            if name == "f5":  # the t123 relation makes each pair one block
+                assert len(got[0]) == 3 and not got[1]
 
 
 # seed 1 rewrites 199 keys at (3,6) and 84 at (2,9); rewriting every key
@@ -728,8 +729,9 @@ def test_a_rep_that_tells_no_key_apart_leaves_the_keys_grouped(monkeypatch, m, m
 
 
 def test_later_reps_compile_only_the_labels_that_still_agree(monkeypatch):
-    # the first rep runs one program of every memo key; each later rep
-    # compiles the first classes of the labels no rep has told apart yet
+    # the first rep runs one program of every reversal orbit; each rep of
+    # phase 2 compiles the first classes of the labels no rep has told
+    # apart yet
     sizes = []
     real = sg.compile_classes
 
@@ -739,12 +741,41 @@ def test_later_reps_compile_only_the_labels_that_still_agree(monkeypatch):
         return real(classes)
 
     monkeypatch.setattr(sg, "compile_classes", recorded)
-    f5 = [sg.canonical_class(w) for pair in F5_PAIRS for w in _f5_words(pair)]
-    rmin_pairs(sg.enumerate_classes(sg.Presentation.free(3), 5) + f5, 3, seed=1)
-    assert sizes == [440] + [6] * 12
+    assert len(rmin_pairs(sg.enumerate_classes(F2, 3), 2, seed=16)[0]) == 12
+    assert sizes == [12, 4, 2, 2, 2]
     del sizes[:]
-    rmin_pairs(f5, 3, seed=0)
-    assert sizes == [6] * 15
+    # the F5 pairs are three blocks that the first rep tells apart
+    f5 = [sg.canonical_class(w) for pair in F5_PAIRS for w in _f5_words(pair)]
+    assert rmin_pairs(f5, 3, seed=0) == ([tuple(f5[i : i + 2]) for i in (0, 2, 4)], [])
+    assert sizes == [6]
+
+
+# seed 1: at rank 2 phase 1 compiles one word per reversal orbit (693 and
+# 1791 memo keys), at (2,8) exactly the R_min blocks; each rep after the
+# first reads only the leaves of the orbits still grouped (1753 at every
+# rep of (3,6) when all were read)
+@pytest.mark.parametrize(
+    "m,maxlen,compiled,leaves,memo",
+    [(2, 8, 471, [471, 290], 0), (2, 9, 1101, [1101, 640, 8], 84), (3, 6, 1753, [1753, 965, 138, 108], 199)],
+)
+def test_phase_one_reads_one_word_per_orbit_then_only_the_grouped_keys(monkeypatch, m, maxlen, compiled, leaves, memo):
+    sizes, read = [], []
+    real_compile, real_traces = sg.compile_classes, sg.ClassProgram.traces
+
+    def recorded(classes):
+        classes = list(classes)
+        sizes.append(len(classes))
+        return real_compile(classes)
+
+    def traces(program, rep):
+        read.append(len(program.leaves))
+        return real_traces(program, rep)
+
+    monkeypatch.setattr(sg, "compile_classes", recorded)
+    monkeypatch.setattr(sg.ClassProgram, "traces", traces)
+    monkeypatch.setattr(characters, "_rewriters", {})
+    rmin_pairs(sg.enumerate_classes(sg.Presentation.free(m), maxlen), m, seed=1)
+    assert (sizes, read, len(characters._rewriters[m].memo)) == ([compiled], leaves, memo)
 
 
 @pytest.mark.parametrize("m,maxlen", [(2, 7), (3, 6)])
@@ -792,10 +823,42 @@ def test_rmin_pairs_needs_least_rotation_keys(monkeypatch):
     assert characters._rewriters[2].memo == {}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP direction 1: rank-3 keys are not yet reduced modulo the t123 relation",
-)
 def test_f5_pairs_are_equal():
     for pair in F5_PAIRS:
         assert rmin_test(*_f5_words(pair), 3).kind == RminVerdict.EQUAL
+
+
+def test_square_of_a_triple_is_reduced_by_its_relation():
+    # _square(S) = s t_S - q: of degree 1 in t_S, t_S^2 at every rep, and
+    # s = tr(abc) + tr(acb) as polynomials, since abc and acb are the roots
+    rng = random.Random(5)
+    for m, mask in ((3, 0b111), (4, 0b1101)):
+        sq, shift = characters._square(mask), characters._shift_of[mask]
+        assert all(mono >> shift & characters._FIELD_MASK <= 1 for mono in sq.terms)
+        i, j, k = characters.basis_word(mask)
+        s_t = (trace_poly((i, j, k), m) + trace_poly((i, k, j), m)) * TracePoly.var(mask)
+        assert TracePoly({mono: c for mono, c in sq.terms.items() if mono >> shift & 1}) == s_t
+        # tr(abc) tr(acb) = s t_S - t_S^2 reduces to q
+        assert rmin_key(trace_poly((i, j, k), m) * trace_poly((i, k, j), m)) == rmin_key(s_t + -sq)
+        for _ in range(3):
+            chars = character_values(random_exact_rep(m, rng), m)
+            assert sq.evaluate(chars) == chars[mask] ** 2
+
+
+def test_rmin_key_reduces_every_triple_to_degree_one():
+    # tr((abc)^2) = t123^2 - 2 = s t123 - q - 2
+    sq = characters._square(0b111)
+    assert rmin_key(trace_poly((1, 2, 3, 1, 2, 3), 3)) == rmin_key(sq + TracePoly.const(-2))
+    # rank-4 words whose polynomials hold the square of one triple or of two
+    for w in ((1, 2, 3, 1, 2, 3, 1, 2, 3), (1, 2, 4, 1, 2, 4, 1, 3, 4, 1, 3, 4), (2, 3, 4, 2, 3, 4, 1, 2, 3, 1, 2, 3)):
+        p, key = trace_poly(w, 4), rmin_key(trace_poly(w, 4))
+        shifts = [characters._shift_of[mask] for mask in characters._shift_of if mask.bit_count() == 3]
+        assert any(mono >> shift & characters._FIELD_MASK > 1 for mono in p.terms for shift in shifts), w
+        assert all(mono >> shift & characters._FIELD_MASK <= 1 for mono, _ in key for shift in shifts), w
+    # the key is still sign-blind, and its reduced polynomial is still tr
+    rng = random.Random(5)
+    for _ in range(3):
+        rep = random_exact_rep(3, rng)
+        w = (1, 2, 3, 1, 3, 2, -1, 2, 3)
+        reduced = TracePoly(dict(rmin_key(trace_poly(w, 3))))
+        assert abs(reduced.evaluate(character_values(rep, 3))) == abs(sg.evaluate(w, rep).tr())

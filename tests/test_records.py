@@ -111,6 +111,16 @@ def test_record_contract(name):
             make()
 
 
+def test_mat2_has_no_sum_or_scalar_multiple():
+    # a tuple's + and k * would give the 8-tuple or the repeated entries
+    m = Mat2(1, 2, 3, 7)
+    for combine in (lambda: m + m, lambda: 2 * m, lambda: (0,) + m, lambda: sum([m, m])):
+        with pytest.raises(TypeError, match="^a Mat2 has no sum or scalar multiple"):
+            combine()
+    assert m * m == Mat2(7, 16, 24, 55) and -m == Mat2(-1, -2, -3, -7)
+    assert tuple(m) + (0,) == (1, 2, 3, 7, 0)
+
+
 def test_import_loads_neither_dataclasses_nor_fractions():
     # -S keeps site's imports out; speclab's directory is put on the path by hand
     src = os.path.dirname(os.path.dirname(speclab.__file__))
